@@ -17,7 +17,6 @@ closed-form identities and statistical checks; ``cli`` exposes the whole
 pipeline as the ``carkov`` command.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .covariance import (
     CovarianceModel,
     SpectralMoments,
@@ -57,7 +56,6 @@ __all__ = [
     "alpha_coeffs",
     "assemble",
     "eval_r",
-    "kernel_backend",
     "ma_covariance",
     "ma_covariance_confluent",
     "moments",

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._kernels import ar1_recursion
 from .covariance import CovarianceModel, residue_expansion, eval_r
 from .errors import (
     CarkovError,
@@ -117,6 +116,73 @@ def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# state recursion
+
+def ar1_recursion(step, noise_map, z0, shocks):
+    """State recursion z_{m+1} = step @ z_m + noise_map @ shocks[m].
+
+    Parameters
+    ----------
+    step : (d, d) array
+        Transition matrix; its spectral radius must be below 1.
+    noise_map : (d, q) array
+        Maps one shock row to the state increment.
+    z0 : (d,) array
+        Initial state.
+    shocks : (n, q) array
+        One row per step.
+
+    Returns
+    -------
+    (d, n+1) array
+        Column m is z_m; column 0 is z0.
+
+    Raises
+    ------
+    ValueError
+        If the operand shapes disagree, or if step has spectral radius
+        >= 1.
+
+    Notes
+    -----
+    Both the exact sampler and the Euler scheme reduce to this constant
+    linear recurrence, evaluated as a Hillis-Steele doubling scan
+    (Blelloch 1990, "Prefix sums and their applications"). Column m
+    starts as its input x_m (x_0 = z0, x_m = noise_map @ shocks[m-1]);
+    after the pass with shift s, which adds step^s times column m - s,
+    it holds the sum of step^j x_{m-j} over j < 2s. So ceil(log2(n + 1))
+    passes of (d, d) by (d, n) products replace n sequential ones. The
+    powers step^s must decay for that sum to stay accurate over long
+    paths, hence the radius condition.
+    """
+    step = np.asarray(step, dtype=float)
+    noise_map = np.asarray(noise_map, dtype=float)
+    z0 = np.asarray(z0, dtype=float)
+    shocks = np.asarray(shocks, dtype=float)
+    d = step.shape[0]
+    n = shocks.shape[0]
+    if step.shape != (d, d) or noise_map.shape[0] != d or z0.shape != (d,) \
+            or shocks.shape[1] != noise_map.shape[1]:
+        raise ValueError("inconsistent kernel operand shapes")
+    radius = np.abs(np.linalg.eigvals(step)).max()
+    if not radius < 1.0:
+        raise ValueError(
+            f"step has spectral radius {radius:.6g} >= 1; the doubling "
+            "scan needs a contraction"
+        )
+
+    out = np.empty((d, n + 1))
+    out[:, 0] = z0
+    out[:, 1:] = noise_map @ shocks.T
+    power, shift = step, 1
+    while shift <= n:
+        out[:, shift:] += power @ out[:, :-shift]
+        power = power @ power
+        shift *= 2
+    return out
+
+
+# ---------------------------------------------------------------------------
 # exact discretization
 
 def exact_step_operator(
@@ -181,6 +247,20 @@ def exact_step_operator(
     return phi, innovation
 
 
+def _exact_values(phi, innovation, root_sigma, n_steps, seed, stream):
+    """Exact-chain path values from a prepared step operator.
+
+    phi and innovation come from exact_step_operator and root_sigma is a
+    square root of the stationary covariance. The initial state is drawn
+    first, then one shock row per step, all from the (seed, "exact",
+    stream) substream.
+    """
+    rng = _generator(seed, "exact", stream)
+    z0 = root_sigma @ rng.standard_normal(phi.shape[0])
+    shocks = rng.standard_normal((n_steps, phi.shape[0]))
+    return ar1_recursion(phi, innovation, z0, shocks)
+
+
 def sample_exact(
     system: ItoSystem,
     law: StationaryLaw,
@@ -209,15 +289,8 @@ def sample_exact(
         Stationary path: every column is marginally N(0, Sigma).
     """
     phi, innovation = exact_step_operator(system, law, dt)
-    rng = _generator(seed, "exact", stream)
-    d = phi.shape[0]
-    z0 = _psd_sqrt(law.covariance) @ rng.standard_normal(d)
-    shocks = rng.standard_normal((n_steps, d))
-    values = ar1_recursion(
-        np.ascontiguousarray(phi),
-        np.ascontiguousarray(innovation),
-        np.ascontiguousarray(z0),
-        np.ascontiguousarray(shocks),
+    values = _exact_values(
+        phi, innovation, _psd_sqrt(law.covariance), n_steps, seed, stream
     )
     return SamplePath(dt=float(dt), values=values, seed=int(seed), method="exact")
 
@@ -273,12 +346,7 @@ def sample_euler(
             raise ValueError(f"z0 must have shape ({d},)")
     shocks = rng.standard_normal((n_steps, 1))
     noise_map = (system.noise_vector * math.sqrt(dt)).reshape(d, 1)
-    values = ar1_recursion(
-        np.ascontiguousarray(step),
-        np.ascontiguousarray(noise_map),
-        np.ascontiguousarray(z0),
-        np.ascontiguousarray(shocks),
-    )
+    values = ar1_recursion(step, noise_map, z0, shocks)
     return SamplePath(dt=float(dt), values=values, seed=int(seed), method="euler")
 
 

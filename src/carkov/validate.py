@@ -12,9 +12,10 @@ the same pass rule applies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 
 from .covariance import (
     CovarianceModel,
@@ -27,7 +28,13 @@ from .covariance import (
 from .errors import DegenerateConditioning, PathTooShort
 from .markov import ItoSystem, StationaryLaw, assemble
 from .model import RealPolynomial, RootSpec, ode_char_poly
-from .simulate import SamplePath, sample_exact
+from .simulate import (
+    SamplePath,
+    _exact_values,
+    _psd_sqrt,
+    exact_step_operator,
+    sample_exact,
+)
 
 #: relative tolerance for closed-form identities
 CLOSED_FORM_TOL = 1e-8
@@ -37,6 +44,16 @@ STAT_BAND = 4.0
 
 #: block length for autocovariance standard errors, in correlation times
 BLOCK_CORR_TIMES = 10.0
+
+#: probe gaps of the replicate ensemble, in correlation times
+PROBE_GAPS = (0.25, 0.5, 0.75, 1.0)
+
+#: expected scalar-control statistic aimed for, in standard errors above
+#: STAT_BAND
+PROBE_MARGIN = 3.0
+
+#: largest replicate count, as a multiple of the budget's
+PROBE_MAX_FACTOR = 8
 
 
 @dataclass(frozen=True)
@@ -342,7 +359,9 @@ def run_suite(spec: RootSpec, budget: str = "fast", seed: int = 0,
     randomness derives from seed. perturb_coef != 0 multiplies the first
     covariance term coefficient by (1 + perturb_coef) AFTER the system is
     assembled: a documented negative control that must trip the
-    closed-form checks.
+    closed-form checks. The Markov-property probes take their gap and
+    replicate count from the population partial correlation
+    (_probe_design) and report both in their detail.
     """
     if budget not in _PROFILES:
         raise ValueError(f"budget must be one of {sorted(_PROFILES)}")
@@ -372,23 +391,76 @@ def run_suite(spec: RootSpec, budget: str = "fast", seed: int = 0,
     path = sample_exact(system, law, dt, n_steps, seed, stream=0)
     reports.append(check_empirical_covariance(path, cov))
 
-    # replicate ensemble for the Markov property: three probe times
-    # spaced 0.75 correlation times apart, six steps per gap
+    # replicate ensemble for the Markov property: three probe times one
+    # gap apart, six steps per gap
     gap_steps = 6
-    rep_dt = 0.75 * tau / gap_steps
-    n_rep = prof["replicates"]
-    ens = np.empty((n_rep, spec.k + 1, 2 * gap_steps + 1))
-    for r in range(n_rep):
-        ens[r] = sample_exact(
-            system, law, rep_dt, 2 * gap_steps, seed, stream=1 + r
-        ).values
-    reports.append(
-        check_partial_correlation(ens, 0, gap_steps, 2 * gap_steps, "vector")
+    gap, rho, n_rep = _probe_design(system, law, tau, prof["replicates"])
+    ens = _replicate_ensemble(
+        system, law, gap / gap_steps, 2 * gap_steps, n_rep, seed
     )
+    design = f"; probe gap {gap / tau:g} tau, R = {n_rep}"
+    vector = check_partial_correlation(
+        ens, 0, gap_steps, 2 * gap_steps, "vector"
+    )
+    reports.append(replace(
+        vector, detail=vector.detail + design + ", population pcorr = 0"
+    ))
     if spec.k >= 1:
-        reports.append(
-            check_partial_correlation(
-                ens, 0, gap_steps, 2 * gap_steps, "scalar"
-            )
+        scalar = check_partial_correlation(
+            ens, 0, gap_steps, 2 * gap_steps, "scalar"
         )
+        reports.append(replace(
+            scalar,
+            detail=scalar.detail + design + f", population |pcorr| = "
+            f"{abs(rho):.4f}, expected |pcorr| sqrt(R) = "
+            f"{abs(rho) * math.sqrt(n_rep):.2f}",
+        ))
     return reports
+
+
+def _probe_design(system: ItoSystem, law: StationaryLaw, tau: float,
+                  replicates: int) -> tuple[float, float, int]:
+    """(gap, population partial correlation, replicate count) of the probe.
+
+    The law is Gaussian, so the partial correlation rho of Y(0) and
+    Y(2g) given Y(g) alone follows from Cov(Z(t+h), Z(t)) = e^{A h} Sigma.
+    The scalar control's statistic |pcorr| sqrt(R) is then about
+    |rho| sqrt(R) with standard error at most 1, so the gap with the
+    largest |rho| is taken and R raised until the expected statistic is
+    PROBE_MARGIN standard errors above STAT_BAND, within
+    PROBE_MAX_FACTOR times the budget. For k = 0 the state is Y itself,
+    rho is 0 and no scalar control runs: the budget's R at 0.75 tau.
+    """
+    if system.k == 0:
+        return 0.75 * tau, 0.0, replicates
+    sigma = law.covariance
+    r0 = sigma[0, 0]
+    best_gap, best_rho = 0.0, 0.0
+    for frac in PROBE_GAPS:
+        phi = scipy.linalg.expm(system.companion * (frac * tau))
+        r1 = (phi @ sigma)[0, 0]
+        r2 = (phi @ phi @ sigma)[0, 0]
+        rho = (r2 * r0 - r1**2) / (r0**2 - r1**2)
+        if abs(rho) > abs(best_rho):
+            best_gap, best_rho = frac * tau, rho
+    need = math.ceil(((STAT_BAND + PROBE_MARGIN) / abs(best_rho)) ** 2)
+    return best_gap, best_rho, min(max(replicates, need),
+                                   PROBE_MAX_FACTOR * replicates)
+
+
+def _replicate_ensemble(system: ItoSystem, law: StationaryLaw, dt: float,
+                        n_steps: int, n_rep: int, seed: int) -> np.ndarray:
+    """(n_rep, k+1, n_steps+1) exact paths; replicate r is
+    sample_exact(system, law, dt, n_steps, seed, stream=1 + r).values.
+
+    The step operator and the square root of Sigma are built once for
+    the whole ensemble.
+    """
+    phi, innovation = exact_step_operator(system, law, dt)
+    root_sigma = _psd_sqrt(law.covariance)
+    ens = np.empty((n_rep, system.k + 1, n_steps + 1))
+    for r in range(n_rep):
+        ens[r] = _exact_values(
+            phi, innovation, root_sigma, n_steps, seed, 1 + r
+        )
+    return ens

@@ -1,10 +1,20 @@
-"""The AR(1) recursion kernel: compiled extension vs numpy fallback."""
+"""The state recursion: the doubling scan against a sequential loop."""
 
 import numpy as np
 import pytest
 
-from carkov._kernels import BACKEND, ar1_recursion
-from carkov._kernels._recursion_py import ar1_recursion as ar1_python
+from carkov import assemble
+from carkov.simulate import ar1_recursion, exact_step_operator
+from conftest import make_random_spec
+
+
+def _loop(step, noise_map, z0, shocks):
+    """Sequential reference: one state update per step."""
+    out = np.empty((step.shape[0], len(shocks) + 1))
+    out[:, 0] = z0
+    for m, xi in enumerate(shocks):
+        out[:, m + 1] = step @ out[:, m] + noise_map @ xi
+    return out
 
 
 def _random_case(rng, d, q, n):
@@ -15,8 +25,42 @@ def _random_case(rng, d, q, n):
     return step, noise_map, z0, shocks
 
 
-def test_backend_is_reported():
-    assert BACKEND in ("compiled", "python")
+def _model_step(k, kind, steps_per_tau):
+    """(step, noise_map, z0) of a seeded random model with k derivatives.
+
+    kind is "exact" (the exact chain) or "euler" (I + A dt, whose radius
+    approaches 1 as dt shrinks: 0.9999 at tau / 1e4), at dt =
+    tau / steps_per_tau.
+    """
+    spec = make_random_spec(np.random.default_rng(100 + k), k=k)
+    system, law = assemble(spec)
+    tau = 1.0 / min(z.imag for z in spec.roots)
+    d = k + 1
+    dt = tau / steps_per_tau
+    if kind == "exact":
+        step, noise_map = exact_step_operator(system, law, dt)
+    else:
+        step = np.eye(d) + system.companion * dt
+        noise_map = (system.noise_vector * np.sqrt(dt)).reshape(d, 1)
+    z0 = np.linalg.cholesky(law.covariance) @ np.ones(d)
+    return step, noise_map, z0
+
+
+@pytest.mark.parametrize(
+    "kind, steps_per_tau", [("exact", 50), ("euler", 998), ("euler", 1e4)]
+)
+@pytest.mark.parametrize("k", [0, 2, 8, 10])
+def test_matches_loop_oracle(k, kind, steps_per_tau):
+    step, noise_map, z0 = _model_step(k, kind, steps_per_tau)
+    rng = np.random.default_rng(7)
+    for n in (0, 1, 2, 3, 1000, 1023, 1025):
+        shocks = rng.standard_normal((n, noise_map.shape[1]))
+        scan = ar1_recursion(step, noise_map, z0, shocks)
+        loop = _loop(step, noise_map, z0, shocks)
+        assert scan.shape == loop.shape == (k + 1, n + 1)
+        row_scale = np.abs(loop).max(axis=1)
+        worst = (np.abs(scan - loop).max(axis=1) / row_scale).max()
+        assert worst <= 1e-10, f"n = {n}: {worst:.3e} of the row scale"
 
 
 def test_shapes():
@@ -27,31 +71,24 @@ def test_shapes():
     np.testing.assert_allclose(out[:, 0], z0)
 
 
-def test_matches_python_reference():
-    rng = np.random.default_rng(1)
-    for d, q, n in [(1, 1, 50), (2, 1, 200), (3, 3, 111), (5, 2, 64)]:
-        step, noise_map, z0, shocks = _random_case(rng, d, q, n)
-        a = ar1_recursion(step, noise_map, z0, shocks)
-        b = ar1_python(step, noise_map, z0, shocks)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-
-
 def test_matches_direct_loop():
     rng = np.random.default_rng(2)
-    step, noise_map, z0, shocks = _random_case(rng, 2, 2, 40)
-    out = ar1_recursion(step, noise_map, z0, shocks)
-    z = z0.copy()
-    for m in range(40):
-        z = step @ z + noise_map @ shocks[m]
-        np.testing.assert_allclose(out[:, m + 1], z, rtol=1e-10, atol=1e-12)
+    case = _random_case(rng, 2, 2, 40)
+    np.testing.assert_allclose(
+        ar1_recursion(*case), _loop(*case), rtol=1e-10, atol=1e-12
+    )
 
 
 def test_deterministic():
     rng = np.random.default_rng(3)
-    case = _random_case(rng, 3, 1, 100)
-    a = ar1_recursion(*case)
-    b = ar1_recursion(*case)
-    np.testing.assert_array_equal(a, b)
+    step, noise_map, z0 = _model_step(8, "euler", 1e4)
+    for case in (
+        _random_case(rng, 3, 1, 100),
+        (step, noise_map, z0, rng.standard_normal((1025, 1))),
+    ):
+        a = ar1_recursion(*case)
+        b = ar1_recursion(*case)
+        assert a.tobytes() == b.tobytes()
 
 
 def test_shape_validation():
@@ -63,6 +100,16 @@ def test_shape_validation():
         ar1_recursion(step, noise_map[:, :1], z0, shocks)
     with pytest.raises(ValueError):
         ar1_recursion(step, noise_map, z0[:2], shocks)
+
+
+@pytest.mark.parametrize("step", [
+    np.eye(2),
+    np.array([[0.5, 0.0], [0.0, -1.5]]),
+    np.array([[0.0, -1.0], [1.0, 0.0]]),  # rotation: complex pair on |z| = 1
+])
+def test_radius_at_least_one_is_rejected(step):
+    with pytest.raises(ValueError, match="spectral radius"):
+        ar1_recursion(step, np.eye(2), np.ones(2), np.zeros((4, 2)))
 
 
 def test_zero_noise_is_pure_power_iteration():

@@ -6,12 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from carkov import assemble, moments, residue_expansion, sample_exact
+from carkov import assemble, eval_r, moments, residue_expansion, sample_exact
 from carkov import model
 from carkov.covariance import CovarianceModel
 from carkov.errors import DegenerateConditioning, PathTooShort
 from carkov.model import RealPolynomial
 from carkov.validate import (
+    PROBE_MARGIN,
+    PROBE_MAX_FACTOR,
+    STAT_BAND,
+    _probe_design,
+    _replicate_ensemble,
     block_standard_error,
     check_characteristic,
     check_diffusion_identity,
@@ -240,6 +245,43 @@ class TestRunSuite:
                             perturb_coef=1e-3)
         failed = {r.name for r in reports if not r.passed}
         assert "markov_factorization" in failed
+
+    def test_weak_control_model_gets_power(self):
+        # roots ten times apart: at a fixed 0.75 tau gap the population
+        # |pcorr| sqrt(1000) is 1.2, far inside the band, and the
+        # control missed; the probe design picks a gap and R that find it
+        spec = model.validate([0.25j, 2.5j], 1.0)
+        reports = {r.name: r for r in run_suite(spec, budget="fast", seed=0)}
+        vector = reports["markov_partial_correlation"]
+        scalar = reports["markov_scalar_negative_control"]
+        assert vector.passed, vector.detail
+        assert scalar.passed, scalar.detail
+        assert "expected |pcorr| sqrt(R)" in scalar.detail
+
+    def test_probe_design_reaches_margin(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            spec = make_random_spec(rng, k=int(rng.integers(1, 7)))
+            system, law = assemble(spec)
+            cov = residue_expansion(spec)
+            tau = 1.0 / min(z.imag for z in spec.roots)
+            gap, rho, n_rep = _probe_design(system, law, tau, 1000)
+            # the partial correlation from Sigma and e^{A gap} agrees
+            # with the closed-form covariance
+            r0, r1, r2 = (eval_r(cov, 0, h) for h in (0.0, gap, 2 * gap))
+            assert rho == pytest.approx(
+                (r2 * r0 - r1**2) / (r0**2 - r1**2), rel=1e-6, abs=1e-9
+            )
+            assert 1000 <= n_rep <= PROBE_MAX_FACTOR * 1000
+            assert (abs(rho) * math.sqrt(n_rep) >= STAT_BAND + PROBE_MARGIN
+                    or n_rep == PROBE_MAX_FACTOR * 1000)
+
+    def test_replicate_ensemble_matches_sample_exact(self, spec_k2):
+        system, law = assemble(spec_k2)
+        ens = _replicate_ensemble(system, law, 0.125, 12, 5, seed=3)
+        for r in range(5):
+            one = sample_exact(system, law, 0.125, 12, 3, stream=1 + r)
+            assert ens[r].tobytes() == one.values.tobytes()
 
     def test_bad_budget(self, spec_k0):
         with pytest.raises(ValueError):
