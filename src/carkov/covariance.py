@@ -31,7 +31,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from .errors import (
     CarkovError,
@@ -52,6 +51,9 @@ QUAD_REL_TOL = 1e-6
 #: odd derivative moments below this (relative to r(0)) snap to zero
 ODD_MOMENT_TOL = 1e-10
 
+#: unit roundoff of IEEE double precision
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
 
 @dataclass(frozen=True)
 class CovarianceModel:
@@ -69,12 +71,17 @@ class CovarianceModel:
 class SpectralMoments:
     """Derivative moments of r at the origin.
 
-    even_moments[j] = r^(j)(0) for j = 0..2k (odd entries are exact
-    zeros); top_plus is the one-sided limit of r^(2k+1) as t -> 0+.
+    even_moments[j] = r^(j)(0) for j = 0..2k (odd entries vanish by
+    symmetry, see moments); top_plus is the one-sided limit of r^(2k+1) as t -> 0+.
+    even_magnitudes and top_magnitude sum the magnitudes of the residue
+    terms behind each value (term_magnitude at 0), from which the
+    verification suite bounds their rounding; empty and 0 when unknown.
     """
 
     even_moments: tuple[float, ...]
     top_plus: float
+    even_magnitudes: tuple[float, ...] = ()
+    top_magnitude: float = 0.0
 
     @property
     def k(self) -> int:
@@ -251,7 +258,11 @@ def moments(cov: CovarianceModel) -> SpectralMoments:
 
     Odd-order entries vanish by symmetry; values below ODD_MOMENT_TOL
     relative to r(0) are snapped to exact zeros so that downstream linear
-    algebra sees the structural zeros it expects.
+    algebra sees the structural zeros it expects. Larger ones, at high k,
+    are rounding noise of the same term list as the even moments and are
+    kept: the drift solved from both stays closer to the root expansion
+    than with the noise removed. Each value comes with the summed
+    magnitude of its terms (term_magnitude at 0).
     """
     vals = []
     for j in range(2 * cov.k + 1):
@@ -261,7 +272,11 @@ def moments(cov: CovarianceModel) -> SpectralMoments:
     for j in range(1, 2 * cov.k + 1, 2):
         if abs(vals[j]) < ODD_MOMENT_TOL * abs(r0):
             vals[j] = 0.0
-    return SpectralMoments(even_moments=tuple(vals), top_plus=one_sided_top(cov))
+    mags = [float(term_magnitude(cov, j, 0.0)) for j in range(2 * cov.k + 2)]
+    return SpectralMoments(
+        even_moments=tuple(vals), top_plus=one_sided_top(cov),
+        even_magnitudes=tuple(mags[:-1]), top_magnitude=mags[-1],
+    )
 
 
 def alpha_coeffs(mom: SpectralMoments, cov: CovarianceModel, u: float) -> np.ndarray:
@@ -289,6 +304,88 @@ def alpha_coeffs(mom: SpectralMoments, cov: CovarianceModel, u: float) -> np.nda
 
 
 # ---------------------------------------------------------------------------
+# rounding floors
+#
+# A-priori bounds in the sense of Higham 2002 (Accuracy and Stability of
+# Numerical Algorithms, section 3.1): a value reached through N chained
+# roundings of terms whose magnitudes sum to M is exact to within
+# gamma(N) * M, to first order. Counts below are in real roundings; a
+# complex product is charged 3 and a complex quotient 6 (they are within
+# sqrt(2) gamma_2 and sqrt(2) gamma_4 of exact, Lemma 3.5), a complex sum
+# 1, and an exact operation (a negation, a product by i) nothing.
+
+def gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u) (Lemma 3.1)."""
+    return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
+
+
+def coefficient_roundings(k: int) -> int:
+    """Roundings N behind one coefficient of residue_expansion.
+
+    For a group of multiplicity m: c^2 (-1/zg)^m takes 8 + 3(m-1);
+    folding each of the 2k + 2 - m other linear factors of Q into the
+    series takes 11 (zg/xi, 1 - zg/xi, the product and the add that
+    merges the shifted series); the reciprocal series 6 + (m-1)(m+10)/2;
+    the scaling 2 pi i (i^p / p!) 8. The largest total over m <= k + 1
+    is returned.
+    """
+    return max(
+        22 + 3 * (m - 1) + 11 * (2 * k + 2 - m) + (m - 1) * (m + 10) // 2
+        for m in range(1, k + 2)
+    )
+
+
+def derivative_roundings(k: int, j: int) -> int:
+    """Roundings N behind one term of r^(j)(t), given its coefficient.
+
+    derivative_terms: (i zeta)^(j-l) and its products with the integer
+    factors and the coefficient, at most 3j + 2, then at most j + 1 adds
+    merging equal (root, power) keys. eval_r: t^p, zeta t, the
+    exponential and the two products, 9; the sum over at most k + 1
+    merged terms, k + 1. So N = 4j + k + 13.
+    """
+    return 4 * j + k + 13
+
+
+def term_magnitude(cov: CovarianceModel, j: int, u):
+    """Sum of the magnitudes of the terms that eval_r(cov, j, u) adds.
+
+    Differentiating coef * t^m * e^{i zeta t} j times gives, for each
+    l <= min(j, m), coef * C(j, l) * m!/(m-l)! * (i zeta)^(j-l) *
+    t^(m-l) * e^{i zeta t}; this sums their absolute values. Scalar or
+    array u, like eval_r.
+    """
+    u_arr = np.asarray(u, dtype=float)
+    au = np.abs(np.atleast_1d(u_arr))
+    total = np.zeros(au.shape)
+    for coef, root, m in cov.terms:
+        decay = np.exp(-root.imag * au)
+        for ell in range(min(j, m) + 1):
+            size = (abs(coef) * math.comb(j, ell)
+                    * (math.factorial(m) // math.factorial(m - ell))
+                    * abs(root) ** (j - ell))
+            total += size * au ** (m - ell) * decay
+    return float(total[0]) if u_arr.ndim == 0 else total
+
+
+def moment_bounds(mom: SpectralMoments, coefficients: bool = True) -> np.ndarray:
+    """Rounding bounds of r^(j)(0) for j = 0..2k, then of the top.
+
+    gamma(N) times the moment's summed term magnitude, with N =
+    derivative_roundings(k, j), plus coefficient_roundings(k) when the
+    residue coefficients' own rounding counts (coefficients=True). All
+    zeros when mom carries no magnitudes.
+    """
+    k = mom.k
+    if not mom.even_magnitudes:
+        return np.zeros(2 * k + 2)
+    mags = np.append(mom.even_magnitudes, mom.top_magnitude)
+    extra = coefficient_roundings(k) if coefficients else 0
+    return np.array([gamma(derivative_roundings(k, j) + extra) * m
+                     for j, m in enumerate(mags)])
+
+
+# ---------------------------------------------------------------------------
 # quadrature oracle
 
 @functools.lru_cache(maxsize=1024)
@@ -306,7 +403,13 @@ def _envelope(spec: RootSpec, j: int) -> float:
     return 2.0 * val
 
 def _quad_semi_infinite(spec, j, weight, wvar, epsabs, epsrel):
-    """One QUADPACK call on [0, inf); returns (value, abserr, converged)."""
+    """One QUADPACK call on [0, inf); returns (value, abserr, converged).
+
+    scipy is imported here, on the oracle's first use, so that the rest
+    of the package loads with numpy alone.
+    """
+    import scipy.integrate
+
     def integrand(z):
         return z**j / abs_p_squared(spec, z)
 

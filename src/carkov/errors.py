@@ -69,6 +69,12 @@ class UnstableStep(CarkovError):
     """The Euler update matrix has spectral radius >= 1 at the requested dt."""
 
 
+class StepTooSmall(CarkovError):
+    """The exact step e^{A dt} is so close to the identity that its computed
+    spectral radius rounds to 1 or above: dt is below what double precision
+    resolves for the model."""
+
+
 class TailTooHeavy(CarkovError):
     """The spectral truncation radius leaves too much mass outside the grid."""
 

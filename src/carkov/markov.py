@@ -20,12 +20,19 @@ from .model import RootSpec
 
 @dataclass(frozen=True)
 class ItoSystem:
-    """Drift row a_0..a_k, diffusion b, companion matrix, noise vector b*e_k."""
+    """Drift row a_0..a_k, diffusion b, companion matrix, noise vector b*e_k.
+
+    moments are the ones the system was solved from, with their rounding
+    bounds, when it came from assemble; the closed-form checks derive
+    their rounding floors from them. None (a system read from a config)
+    holds the checks to CLOSED_FORM_TOL alone.
+    """
 
     drift: np.ndarray
     diffusion: float
     companion: np.ndarray
     noise_vector: np.ndarray
+    moments: SpectralMoments | None = None
 
     @property
     def k(self) -> int:
@@ -110,14 +117,10 @@ def stationary_law(mom: SpectralMoments) -> StationaryLaw:
     return StationaryLaw(covariance=sigma)
 
 
-def assemble(spec: RootSpec) -> tuple[ItoSystem, StationaryLaw]:
-    """Full pipeline from a validated root spec to the Ito system.
-
-    Runs residue expansion, takes moments, solves for drift and diffusion
-    and builds the companion matrix with ones on the superdiagonal and the
-    drift row at the bottom.
-    """
-    mom = moments(residue_expansion(spec))
+def _assemble_from_moments(
+    mom: SpectralMoments,
+) -> tuple[ItoSystem, StationaryLaw]:
+    """Ito system, carrying mom, and stationary law from the moments."""
     a = solve_drift(mom)
     b = solve_diffusion(mom, a)
     k = mom.k
@@ -128,9 +131,21 @@ def assemble(spec: RootSpec) -> tuple[ItoSystem, StationaryLaw]:
     noise = np.zeros(k + 1)
     noise[k] = b
     system = ItoSystem(
-        drift=a, diffusion=b, companion=companion, noise_vector=noise
+        drift=a, diffusion=b, companion=companion, noise_vector=noise,
+        moments=mom,
     )
     return system, stationary_law(mom)
+
+
+def assemble(spec: RootSpec) -> tuple[ItoSystem, StationaryLaw]:
+    """Full pipeline from a validated root spec to the Ito system.
+
+    Runs residue expansion, takes moments, solves for drift and diffusion
+    and builds the companion matrix with ones on the superdiagonal and the
+    drift row at the bottom. The system carries the moments, whose
+    rounding bounds the verification suite's closed-form checks use.
+    """
+    return _assemble_from_moments(moments(residue_expansion(spec)))
 
 
 # ---------------------------------------------------------------------------

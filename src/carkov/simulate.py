@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .covariance import CovarianceModel, residue_expansion, eval_r
 from .errors import (
@@ -28,6 +27,7 @@ from .errors import (
     EqualRates,
     FactorizationFailure,
     NotConverged,
+    StepTooSmall,
     TailTooHeavy,
     UnstableStep,
 )
@@ -206,6 +206,10 @@ def exact_step_operator(
 
     Raises
     ------
+    StepTooSmall
+        If the computed eigenvalues of phi have modulus >= 1, which the
+        state recursion cannot advance; at dt of about 1e-10 tau and
+        below, rounding puts some k >= 8 models there.
     FactorizationFailure
         If the innovation covariance has an eigenvalue below
         -1e-10 * ||Sigma||.
@@ -231,7 +235,16 @@ def exact_step_operator(
         phi = (V * np.exp(eigvals * dt)) @ np.linalg.inv(V)
         phi = phi.real
     else:
+        import scipy.linalg
+
         phi = scipy.linalg.expm(A * dt)
+    radius = np.abs(np.linalg.eigvals(phi)).max()
+    if not radius < 1.0:
+        raise StepTooSmall(
+            f"e^(A dt) at dt = {dt:.6g} has computed spectral radius "
+            f"{radius:.17g} >= 1; this dt is below what double precision "
+            "resolves for the model, use a larger one"
+        )
 
     sigma = law.covariance
     q = sigma - phi @ sigma @ phi.T
@@ -387,10 +400,12 @@ SPECTRAL_RESOLUTION_TOL = 1e-3
 
 
 def _spectral_design(spec, times, z_max, n_panels, r0=None):
-    """Midpoint grid and per-derivative design matrices.
+    """Midpoint grid of the spectral integral at the requested times.
 
-    Returns (cos_blocks, sin_blocks) where block j maps the two
-    independent white-noise vectors to Y^(j) at the requested times.
+    Returns (cos_theta, sin_theta, weights): cos and sin of
+    theta = outer(times, z) over the panel midpoints z, and weights[j] =
+    amp * z^j, the panel amplitude of Y^(j). _spectral_rows turns these
+    and the two white-noise vectors into the rows Y^(j).
     If r0 is given, the exact output variance of row 0 (the sum of
     squared weights) is held to it within SPECTRAL_RESOLUTION_TOL; a
     panel grid too coarse for the density raises NotConverged. That can
@@ -404,7 +419,6 @@ def _spectral_design(spec, times, z_max, n_panels, r0=None):
         steps = np.diff(times)
         if steps.min() <= 0 or (steps.max() - steps.min()) > 1e-9 * steps.max():
             raise ValueError("times must be uniformly increasing")
-    k = spec.k
     dz = 2.0 * z_max / n_panels
     z = -z_max + (np.arange(n_panels) + 0.5) * dz
     amp = np.sqrt(dz / abs_p_squared(spec, z))
@@ -417,13 +431,29 @@ def _spectral_design(spec, times, z_max, n_panels, r0=None):
                 "increase n_panels (or lower z_max if the tail allows)"
             )
     theta = np.outer(times, z)
-    cos_blocks, sin_blocks = [], []
-    for j in range(k + 1):
-        weight = amp * z**j
-        shifted = theta + j * (np.pi / 2.0)
-        cos_blocks.append(np.cos(shifted) * weight)
-        sin_blocks.append(np.sin(shifted) * weight)
-    return cos_blocks, sin_blocks
+    weights = amp * z[None, :] ** np.arange(spec.k + 1)[:, None]
+    return np.cos(theta), np.sin(theta), weights
+
+
+def _spectral_rows(design, xi_cos, xi_sin):
+    """Rows Y^(j) = sum over panels of w_j (cos(theta + j pi/2) xi_cos +
+    sin(theta + j pi/2) xi_sin).
+
+    Since cos/sin(theta + j pi/2) are cos/sin(theta) up to sign and swap,
+    row j is cos(theta) @ (w_j a_j) + sin(theta) @ (w_j b_j) with
+    (a_j, b_j) = (xi_cos, xi_sin) turned j quarter turns, (a, b) ->
+    (b, -a). xi_cos and xi_sin are (n_panels,) for one draw or
+    (n_panels, m) for m draws; the result is (k+1, T) or (k+1, T, m).
+    """
+    cos_theta, sin_theta, weights = design
+    if xi_cos.ndim == 2:
+        weights = weights[:, :, None]
+    a, b = xi_cos, xi_sin
+    rows = []
+    for w in weights:
+        rows.append(cos_theta @ (w * a) + sin_theta @ (w * b))
+        a, b = b, -a
+    return np.stack(rows)
 
 
 def _check_tail(spec: RootSpec, z_max: float, r0: float) -> None:
@@ -470,16 +500,11 @@ def sample_spectral(
         z_max = default_z_max(spec, r0)
     _check_tail(spec, z_max, r0)
     times = np.asarray(times, dtype=float)
-    cos_blocks, sin_blocks = _spectral_design(spec, times, z_max, n_panels, r0)
+    design = _spectral_design(spec, times, z_max, n_panels, r0)
     rng = _generator(seed, "spectral", stream)
     xi_cos = rng.standard_normal(n_panels)
     xi_sin = rng.standard_normal(n_panels)
-    values = np.vstack(
-        [
-            cos_blocks[j] @ xi_cos + sin_blocks[j] @ xi_sin
-            for j in range(spec.k + 1)
-        ]
-    )
+    values = _spectral_rows(design, xi_cos, xi_sin)
     dt = float(times[1] - times[0]) if times.size > 1 else 1.0
     return SamplePath(dt=dt, values=values, seed=int(seed), method="spectral")
 
@@ -506,9 +531,8 @@ def spectral_replicates(
         z_max = default_z_max(spec, r0)
     _check_tail(spec, z_max, r0)
     times = np.asarray(times, dtype=float)
-    cos_blocks, sin_blocks = _spectral_design(spec, times, z_max, n_panels, r0)
-    k = spec.k
-    out = np.empty((n_replicates, k + 1, times.size))
+    design = _spectral_design(spec, times, z_max, n_panels, r0)
+    out = np.empty((n_replicates, spec.k + 1, times.size))
     for start in range(0, n_replicates, chunk):
         stop = min(start + chunk, n_replicates)
         width = stop - start
@@ -518,9 +542,7 @@ def spectral_replicates(
             rng = _generator(seed, "spectral", start + c)
             xi_cos[:, c] = rng.standard_normal(n_panels)
             xi_sin[:, c] = rng.standard_normal(n_panels)
-        for j in range(k + 1):
-            block = cos_blocks[j] @ xi_cos + sin_blocks[j] @ xi_sin
-            out[start:stop, j, :] = block.T
+        out[start:stop] = _spectral_rows(design, xi_cos, xi_sin).transpose(2, 0, 1)
     return out
 
 

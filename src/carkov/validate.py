@@ -2,11 +2,13 @@
 
 Each check returns a CheckReport with a scalar statistic and a threshold;
 passed means statistic <= threshold. Closed-form identities are held to
-1e-8 relative. Statistical checks use normal-approximation bands with the
-deliberately loose constant 4 because suites run many correlated
-comparisons. Negative controls (checks that are supposed to detect a
-broken hypothesis) are encoded with negated statistic and threshold so
-the same pass rule applies.
+1e-8 relative, or to their own rounding floor where that is larger (an
+a-priori bound on what double precision resolves, above 1e-8 only for
+some k >= 5 models; reported in the detail). Statistical checks use
+normal-approximation bands with the deliberately loose constant 4
+because suites run many correlated comparisons. Negative controls
+(checks that are supposed to detect a broken hypothesis) are encoded
+with negated statistic and threshold so the same pass rule applies.
 """
 
 from __future__ import annotations
@@ -15,18 +17,21 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .covariance import (
     CovarianceModel,
     SpectralMoments,
     alpha_coeffs,
+    derivative_roundings,
     eval_r,
+    gamma,
+    moment_bounds,
     moments,
     residue_expansion,
+    term_magnitude,
 )
 from .errors import DegenerateConditioning, PathTooShort
-from .markov import ItoSystem, StationaryLaw, assemble
+from .markov import ItoSystem, StationaryLaw, _assemble_from_moments
 from .model import RealPolynomial, RootSpec, ode_char_poly
 from .simulate import (
     SamplePath,
@@ -134,9 +139,18 @@ def check_ode_annihilation(
 
     chi defaults to the characteristic polynomial of spec; passing a
     perturbed polynomial is the negative control.
+
+    chi(D) annihilates each term t^p e^{i zeta t} whatever its
+    coefficient, so the residue coefficients' own rounding cancels; the
+    rounding floor is max over t of sum_j (gamma(N) |b_j| + db_j) *
+    term_magnitude(cov, j, t) / r(0), with N = derivative_roundings(k,
+    deg chi) + deg chi + 2 (the products b_j r^(j) and their sum) and db_j
+    the default chi's own bound (_char_poly_error; 0 for a given chi).
     """
+    chi_err = 0.0
     if chi is None:
         chi = ode_char_poly(spec)
+        chi_err = _char_poly_error(spec)
     tau = _correlation_time(cov)
     if t_grid is None:
         t_grid = tau * np.array([0.1, 0.5, 1.0, 2.0, 5.0])
@@ -144,64 +158,182 @@ def check_ode_annihilation(
     if not (t_grid > 0).all():
         raise ValueError("annihilation grid must be strictly positive")
     r0 = eval_r(cov, 0, 0.0)
+    coefs = np.asarray(chi.coefficients)
+    deg = coefs.size - 1
+    sizes = (gamma(derivative_roundings(cov.k, deg) + deg + 2) * np.abs(coefs)
+             + chi_err)
     total = np.zeros_like(t_grid)
-    for j, b in enumerate(chi.coefficients):
+    bound = np.zeros_like(t_grid)
+    for j, b in enumerate(coefs):
         total += b * eval_r(cov, j, t_grid)
+        bound += sizes[j] * term_magnitude(cov, j, t_grid)
     worst = float(np.abs(total).max()) / abs(r0)
+    floor = float(bound.max()) / abs(r0)
     return _report(
         "ode_annihilation",
         worst,
-        CLOSED_FORM_TOL,
-        f"max |chi(D) r(t)| / r(0) = {worst:.3e} on {t_grid.size} points",
+        max(CLOSED_FORM_TOL, floor),
+        f"max |chi(D) r(t)| / r(0) = {worst:.3e} on {t_grid.size} points; "
+        f"rounding floor {floor:.3e}",
     )
 
 
 def check_lyapunov(system: ItoSystem, law: StationaryLaw) -> CheckReport:
-    """Continuous-time Lyapunov equation of the stationary covariance."""
+    """Continuous-time Lyapunov equation of the stationary covariance.
+
+    For a system from assemble, A, Sigma and b^2 come from the same
+    moments, and the residual R has a fixed form: R_ij = 0 exactly for
+    i, j < k; R_jk and R_kk are, up to sign, the drift solve's residual
+    (G a - rhs)_j; R_kj adds 2 o_j, where o_j sums the terms
+    a_l r^(l+j)(0) and r^(k+j+1)(0) of markov.solve_drift's row j that
+    have odd order. The even moments' errors thus cancel; only the odd
+    moments, zero by symmetry and rounding noise where not snapped,
+    enter. The rounding floor is ||E||_F / ||Sigma||_F with
+    E = gamma(5k + 10) (S + S' + b^2 e_k e_k'), S = |A||Sigma| (3(k+1)
+    roundings for the solve's backward error, Higham 2002, Theorem 9.4,
+    with |L||U| taken as |G|; k + 3 for an entry of R; k + 4 for b^2),
+    plus the bound of 2 |o_j| (_odd_noise) in row k.
+    """
     A = system.companion
     sigma = law.covariance
     k = system.k
     forcing = np.zeros_like(A)
     forcing[k, k] = system.diffusion**2
     resid = A @ sigma + sigma @ A.T + forcing
-    worst = float(
-        np.linalg.norm(resid, "fro") / np.linalg.norm(sigma, "fro")
-    )
+    norm = np.linalg.norm(sigma, "fro")
+    worst = float(np.linalg.norm(resid, "fro") / norm)
+    floor = 0.0
+    if system.moments is not None:
+        size = np.abs(A) @ np.abs(sigma)
+        bound = gamma(5 * k + 10) * (size + size.T + forcing)
+        bound[k, :k] += 2.0 * _odd_noise(system)[:k]
+        floor = float(np.linalg.norm(bound, "fro") / norm)
     return _report(
         "lyapunov_residual",
         worst,
-        CLOSED_FORM_TOL,
-        f"||A Sigma + Sigma A' + b^2 e_k e_k'||_F / ||Sigma||_F = {worst:.3e}",
+        max(CLOSED_FORM_TOL, floor),
+        f"||A Sigma + Sigma A' + b^2 e_k e_k'||_F / ||Sigma||_F = {worst:.3e}; "
+        f"rounding floor {floor:.3e}",
     )
 
 
 def check_characteristic(system: ItoSystem, spec: RootSpec) -> CheckReport:
-    """Drift row solved from moments vs the expanded root polynomial."""
+    """Drift row solved from moments vs the expanded root polynomial.
+
+    The computed moments are those of the residue terms with their
+    rounded coefficients, up to the roundings of the sums that evaluate
+    them. chi(D) annihilates that term list too, so its drift is exactly
+    -chi, and only the evaluation counts (moment_bounds with
+    coefficients=False), except at a snapped odd moment, which departs
+    from it by at most its full bound. The rounding floor is
+    max_j (da_j + dchi_j) / scale: Skeel's bound da = |G^-1| (|dG| |a| +
+    |drhs|) (Higham 2002, section 7.2) on the drift solve, with the
+    solve's backward error gamma(3(k+1)) |G| (Theorem 9.4, |L||U| taken
+    as |G|) added to dG, and dchi the root expansion's bound
+    (_char_poly_error).
+    """
     chi = ode_char_poly(spec)
-    expected = -np.asarray(chi.coefficients[: spec.k + 1])
+    k = spec.k
+    expected = -np.asarray(chi.coefficients[: k + 1])
     scale = max(1.0, float(np.abs(expected).max()))
     worst = float(np.abs(system.drift - expected).max()) / scale
+    floor = 0.0
+    if system.moments is not None:
+        mom = system.moments
+        hankel, order = _solve_hankel(mom)
+        snapped = (order % 2 == 1) & (hankel == 0.0)
+        bounds = np.where(snapped, moment_bounds(mom)[order],
+                          moment_bounds(mom, coefficients=False)[order])
+        gram = hankel[:, : k + 1]
+        d_gram = bounds[:, : k + 1] + gamma(3 * (k + 1)) * np.abs(gram)
+        d_drift = np.abs(np.linalg.inv(gram)) @ (
+            d_gram @ np.abs(system.drift) + bounds[:, k + 1]
+        )
+        floor = float((d_drift + _char_poly_error(spec)[: k + 1]).max()) / scale
     return _report(
         "characteristic_consistency",
         worst,
-        CLOSED_FORM_TOL,
-        f"max |a_j (moments) - a_j (root expansion)| = {worst:.3e} relative",
+        max(CLOSED_FORM_TOL, floor),
+        f"max |a_j (moments) - a_j (root expansion)| = {worst:.3e} relative; "
+        f"rounding floor {floor:.3e}",
     )
 
 
 def check_diffusion_identity(system: ItoSystem, spec: RootSpec) -> CheckReport:
-    """b^2 from the moment route vs 2 pi prod |zeta_j|^2 / scale^2."""
+    """b^2 from the moment route vs 2 pi prod |zeta_j|^2 / scale^2.
+
+    The exact b^2 is -2 (-1)^k top. solve_diffusion computes
+    -(-1)^k ((G a)_k - 2 o_k + top) (o_k as in check_lyapunov), and the
+    solve makes (G a)_k = top, so the even moments' errors cancel. The
+    rounding floor is (2 dtop + 2 |o_k| + gamma(4k + 7) (sum_j
+    |a_j r^(j+k)(0)| + |top|) + gamma(3(k+1) + 4) expected) / expected,
+    with dtop the top's bound and |o_k| bounded by _odd_noise: 3(k+1)
+    roundings for the solve, k + 2 for the sum, 2 for b = sqrt(b^2)
+    squared again, and 3(k+1) + 4 for the product (|zeta|, its square
+    and the product per root; 2 pi, the scale's square and two more
+    products).
+    """
+    k = spec.k
     expected = 2.0 * np.pi * np.prod(
         [abs(z) ** 2 for z in spec.roots]
     ) / spec.scale**2
     got = system.diffusion**2
     worst = abs(got - expected) / expected
+    floor = 0.0
+    if system.moments is not None:
+        mom = system.moments
+        size = (np.abs(mom.even_moments[k:]) @ np.abs(system.drift)
+                + abs(mom.top_plus))
+        d_b2 = (2.0 * moment_bounds(mom)[-1] + 2.0 * _odd_noise(system)[k]
+                + gamma(4 * k + 7) * size)
+        floor = (d_b2 + gamma(3 * (k + 1) + 4) * expected) / expected
     return _report(
         "diffusion_scale_identity",
         float(worst),
-        CLOSED_FORM_TOL,
-        f"b^2 = {got:.12g} vs spectral product {expected:.12g}",
+        max(CLOSED_FORM_TOL, floor),
+        f"b^2 = {got:.12g} vs spectral product {expected:.12g}; "
+        f"rounding floor {floor:.3e}",
     )
+
+
+def _solve_hankel(mom: SpectralMoments) -> tuple[np.ndarray, np.ndarray]:
+    """[G | rhs] of markov.solve_drift and the moment order of each entry.
+
+    Entry (i, j) is r^(i+j)(0) for j <= k + 1; the last column is the
+    right-hand side r^(k+i+1)(0), the top for i = k.
+    """
+    k = mom.k
+    order = np.add.outer(np.arange(k + 1), np.arange(k + 2))
+    return np.append(mom.even_moments, mom.top_plus)[order], order
+
+
+def _odd_noise(system: ItoSystem) -> np.ndarray:
+    """Bound of |o_j| for each row j of the drift solve (see check_lyapunov).
+
+    o_j sums the terms a_l r^(l+j)(0) and r^(k+j+1)(0) of odd order below
+    2k + 1 that were not snapped to zero. Their moments are zero by
+    symmetry, so each is bounded by its full rounding bound
+    (moment_bounds).
+    """
+    mom = system.moments
+    hankel, order = _solve_hankel(mom)
+    noise = (order % 2 == 1) & (order < 2 * mom.k + 1) & (hankel != 0.0)
+    bounds = np.where(noise, moment_bounds(mom)[order], 0.0)
+    return bounds @ np.append(np.abs(system.drift), 1.0)
+
+
+def _char_poly_error(spec: RootSpec) -> np.ndarray:
+    """Rounding bound of each ode_char_poly coefficient, lowest order first.
+
+    The expansion folds in one root per stage with a complex product and
+    an add (4 roundings), so coefficient j is within gamma(4(k+1)) times
+    the same coefficient of the expansion on magnitudes,
+    prod_j (lam + |zeta_j|).
+    """
+    sizes = np.array([1.0])
+    for z in spec.roots:
+        sizes = np.convolve(sizes, np.array([1.0, abs(z)]))
+    return gamma(4 * len(spec.roots)) * sizes[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +500,8 @@ def run_suite(spec: RootSpec, budget: str = "fast", seed: int = 0,
     prof = _PROFILES[budget]
     cov = residue_expansion(spec)
     mom = moments(cov)
-    system, law = assemble(spec)
+    system, law = _assemble_from_moments(mom)
+    tau = _correlation_time(cov)
     if perturb_coef != 0.0:
         first = cov.terms[0]
         cov = CovarianceModel(
@@ -385,7 +518,6 @@ def run_suite(spec: RootSpec, budget: str = "fast", seed: int = 0,
         check_diffusion_identity(system, spec),
     ]
 
-    tau = _correlation_time(residue_expansion(spec))
     dt = tau / prof["steps_per_tau"]
     n_steps = int(round(prof["span"] * tau / dt))
     path = sample_exact(system, law, dt, n_steps, seed, stream=0)
@@ -433,6 +565,8 @@ def _probe_design(system: ItoSystem, law: StationaryLaw, tau: float,
     """
     if system.k == 0:
         return 0.75 * tau, 0.0, replicates
+    import scipy.linalg
+
     sigma = law.covariance
     r0 = sigma[0, 0]
     best_gap, best_rho = 0.0, 0.0

@@ -2,15 +2,24 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from carkov import assemble, model
 from carkov.cli import main
 from carkov.covariance import cov_from_config, eval_r, moments
+from carkov.errors import StepTooSmall
+from carkov.simulate import exact_step_operator
+from conftest import make_random_spec
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 K0 = str(CONFIGS / "k0.json")
 K1 = str(CONFIGS / "k1_repeated.json")
 K2 = str(CONFIGS / "k2.json")
@@ -138,6 +147,52 @@ class TestSimulate:
                    "--dt", "-1", "--steps", "10", "--out", str(tmp_path)])
         assert rc == 2
         capsys.readouterr()
+
+    def test_exact_step_too_small_exit_2(self, tmp_path, capsys):
+        # the first random k = 8 / k = 10 model whose e^{A dt} rounds to
+        # spectral radius >= 1 at dt = 1e-12 tau
+        rng = np.random.default_rng(5)
+        for i in range(20):
+            spec = make_random_spec(rng, 8 if i % 2 == 0 else 10)
+            dt = 1e-12 / min(z.imag for z in spec.roots)
+            try:
+                exact_step_operator(*assemble(spec), dt)
+            except StepTooSmall:
+                break
+        else:
+            pytest.fail("no model reached the rounding limit")
+        model.save_model(spec, tmp_path / "model.json")
+        rc = main(["simulate", "--model", str(tmp_path / "model.json"),
+                   "--method", "exact", "--dt", repr(dt), "--steps", "10",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "StepTooSmall"
+        assert "spectral radius" in err["message"]
+
+    def test_simulate_does_not_load_scipy(self, tmp_path):
+        # scipy is imported on first use (quadrature oracle, clustered
+        # eigenvalues, verify's probe design); a fresh interpreter runs the
+        # spectral and exact samplers with numpy alone
+        code = textwrap.dedent(f"""
+            import sys
+            import carkov, carkov.cli
+            for method in ("spectral", "exact"):
+                rc = carkov.cli.main([
+                    "simulate", "--model", {K2!r}, "--method", method,
+                    "--dt", "0.01", "--steps", "50", "--seed", "1",
+                    "--out", {str(tmp_path)!r} + "/" + method])
+                assert rc == 0, method
+            loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+            assert not loaded, loaded
+            from carkov import model, quadrature_r
+            spec = model.load_model({K0!r})
+            assert abs(quadrature_r(spec, 0, 0.5) - {math.pi!r} * {math.exp(-0.5)!r}) < 1e-6
+            """)
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
 
 
 class TestVerify:

@@ -25,6 +25,7 @@ from carkov.errors import (
     EqualRates,
     FactorizationFailure,
     NotConverged,
+    StepTooSmall,
     TailTooHeavy,
     UnstableStep,
 )
@@ -41,6 +42,8 @@ from carkov.simulate import (
     write_csv,
     write_metadata,
 )
+
+from conftest import make_random_spec
 
 PI = math.pi
 
@@ -85,6 +88,34 @@ class TestExactStepOperator:
             exact_step_operator(
                 system, StationaryLaw(covariance=-law.covariance), 0.5
             )
+
+
+def too_small_steps(n_models=20):
+    """(spec, system, law, dt) for random k = 8 and k = 10 models at
+    dt = 1e-12 tau, where e^{A dt} rounds towards the identity."""
+    rng = np.random.default_rng(5)
+    for i in range(n_models):
+        spec = make_random_spec(rng, 8 if i % 2 == 0 else 10)
+        system, law = assemble(spec)
+        tau = 1.0 / min(z.imag for z in spec.roots)
+        yield spec, system, law, 1e-12 * tau
+
+
+class TestStepTooSmall:
+    def test_typed_error_names_dt_and_radius(self):
+        # every model either samples or raises the typed error, never the
+        # recursion's bare ValueError; rounding puts some of them there
+        raised = 0
+        for _spec, system, law, dt in too_small_steps():
+            try:
+                sample_exact(system, law, dt, 5, seed=0)
+            except StepTooSmall as exc:
+                raised += 1
+                assert f"dt = {dt:.6g}" in str(exc)
+                assert "spectral radius" in str(exc)
+                with pytest.raises(StepTooSmall):
+                    exact_step_operator(system, law, dt)
+        assert raised > 0
 
 
 class TestSampleExact:
@@ -202,9 +233,12 @@ class TestSpectral:
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_design_variance_identity(self, spec_k2):
-        # sum of squared design weights per row = Var Y^(j)(t). Row 0 is
-        # guarded by the tail check, so it matches the closed form; rows
-        # j >= 1 carry the documented z^j truncation bias and are tested
+        # Var Y^(j)(t) is the sum over panels of the squared weights of
+        # the two independent noises: row j weighs them by w_j cos and
+        # w_j sin of theta (up to sign and swap), so the sum is
+        # sum_p w_jp^2 (cos^2 + sin^2) at every t. Row 0 is guarded by
+        # the tail check, so it matches the closed form; rows j >= 1
+        # carry the documented z^j truncation bias and are tested
         # against the truncated integral instead.
         import scipy.integrate
 
@@ -214,20 +248,58 @@ class TestSpectral:
         r0 = eval_r(cov, 0, 0.0)
         times = np.array([0.0, 0.7])
         z_max = default_z_max(spec_k2, r0)
-        cos_b, sin_b = _spectral_design(spec_k2, times, z_max, 4096)
+        cos_t, sin_t, weights = _spectral_design(spec_k2, times, z_max, 4096)
+        assert cos_t.shape == sin_t.shape == (2, 4096)
+        assert weights.shape == (3, 4096)
+
+        def row_variance(j):
+            return (cos_t**2 + sin_t**2) @ weights[j] ** 2
+
         for j in range(3):
-            var = (cos_b[j] ** 2 + sin_b[j] ** 2).sum(axis=1)
             truncated, _ = scipy.integrate.quad(
                 lambda z: z ** (2 * j) / abs_p_squared(spec_k2, z),
                 -z_max, z_max, points=(-2.0, 0.0, 2.0), limit=400,
             )
-            np.testing.assert_allclose(var, truncated, rtol=1e-3)
+            np.testing.assert_allclose(row_variance(j), truncated, rtol=1e-3)
         # row 0 (and only row 0) is also within tolerance of r(0)
-        var0 = (cos_b[0] ** 2 + sin_b[0] ** 2).sum(axis=1)
-        np.testing.assert_allclose(var0, r0, rtol=1e-3)
+        np.testing.assert_allclose(row_variance(0), r0, rtol=1e-3)
         # the j = k deficit is real and one-sided: truncation only loses mass
-        var_top = (cos_b[2] ** 2 + sin_b[2] ** 2).sum(axis=1)
-        assert (var_top < (-1) ** 2 * eval_r(cov, 4, 0.0)).all()
+        assert (row_variance(2) < (-1) ** 2 * eval_r(cov, 4, 0.0)).all()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
+    def test_matches_shifted_block_oracle(self, k):
+        # oracle: one cos and one sin block per derivative order,
+        # evaluated at theta + j pi/2. k in {1, 2, 3, 4, 8} covers every
+        # j mod 4.
+        from carkov.model import abs_p_squared
+
+        spec = make_random_spec(np.random.default_rng(100 + k), k)
+        times = 0.05 * np.arange(40)
+        z_max = default_z_max(spec, eval_r(residue_expansion(spec), 0, 0.0))
+        n = 4096
+        dz = 2.0 * z_max / n
+        z = -z_max + (np.arange(n) + 0.5) * dz
+        amp = np.sqrt(dz / abs_p_squared(spec, z))
+        theta = np.outer(times, z)
+        blocks = [
+            (np.cos(theta + j * PI / 2) * amp * z**j,
+             np.sin(theta + j * PI / 2) * amp * z**j)
+            for j in range(k + 1)
+        ]
+
+        def oracle(stream):
+            rng = _generator(5, "spectral", stream)
+            xi_cos = rng.standard_normal(n)
+            xi_sin = rng.standard_normal(n)
+            return np.vstack([c @ xi_cos + s @ xi_sin for c, s in blocks])
+
+        reps = spectral_replicates(spec, times, n_replicates=3, seed=5)
+        for stream in range(3):
+            want = oracle(stream)
+            scale = np.abs(want).max(axis=1, keepdims=True)
+            single = sample_spectral(spec, times, seed=5, stream=stream).values
+            assert (np.abs(single - want) <= 1e-12 * scale).all()
+            assert (np.abs(reps[stream] - want) <= 1e-12 * scale).all()
 
     def test_replicates_match_single_draws(self, spec_k1_pair):
         times = np.arange(3) * 0.5

@@ -1,17 +1,20 @@
 """Cross-verification suite: each check must pass on honest input and
 trip on the documented negative control."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from carkov import assemble, eval_r, moments, residue_expansion, sample_exact
-from carkov import model
+from carkov import model, validate
 from carkov.covariance import CovarianceModel
+from carkov.markov import ito_from_config, ito_to_config
 from carkov.errors import DegenerateConditioning, PathTooShort
 from carkov.model import RealPolynomial
 from carkov.validate import (
+    CLOSED_FORM_TOL,
     PROBE_MARGIN,
     PROBE_MAX_FACTOR,
     STAT_BAND,
@@ -96,6 +99,62 @@ class TestClosedFormChecks:
                 check_diffusion_identity(system, spec),
             ):
                 assert rep.passed, f"{rep.name}: {rep.detail}"
+
+
+def _identity_checks(spec):
+    cov = residue_expansion(spec)
+    system, law = assemble(spec)
+    return [
+        check_ode_annihilation(spec, cov),
+        check_lyapunov(system, law),
+        check_characteristic(system, spec),
+        check_diffusion_identity(system, spec),
+    ]
+
+
+class TestRoundingFloors:
+    def test_population_has_no_false_fail(self):
+        # 60 random models per k = 1..10. The moment route loses up to
+        # ~1e-7 relative at k >= 8, above CLOSED_FORM_TOL; the checks
+        # judge it against their own rounding floor there, and stay at
+        # exactly CLOSED_FORM_TOL for k <= 3
+        rng = np.random.default_rng(2026)
+        for k in range(1, 11):
+            for _ in range(60):
+                spec = make_random_spec(rng, k)
+                for rep in _identity_checks(spec):
+                    assert rep.passed, f"k = {k}, {rep.name}: {rep.detail}"
+                    assert "rounding floor" in rep.detail
+                    if k <= 3:
+                        assert rep.threshold == CLOSED_FORM_TOL
+
+    @pytest.mark.parametrize("k", [8, 10])
+    def test_controls_still_fail_at_high_k(self, k):
+        rng = np.random.default_rng(700 + k)
+        for _ in range(5):
+            spec = make_random_spec(rng, k)
+            cov = residue_expansion(spec)
+            system, _ = assemble(spec)
+            coef, root, power = cov.terms[0]
+            bent = CovarianceModel(
+                terms=((coef, root * 1.001, power),) + cov.terms[1:], k=k
+            )
+            rep = check_ode_annihilation(spec, bent)
+            assert not rep.passed, rep.detail
+            drift = system.drift.copy()
+            drift[np.argmax(np.abs(drift))] *= 1 + 1e-4
+            rep = check_characteristic(
+                dataclasses.replace(system, drift=drift), spec
+            )
+            assert not rep.passed, rep.detail
+
+    def test_config_systems_keep_strict_tolerance(self):
+        spec = make_random_spec(np.random.default_rng(8), 8)
+        system, law = ito_from_config(ito_to_config(*assemble(spec)))
+        for rep in (check_lyapunov(system, law),
+                    check_characteristic(system, spec),
+                    check_diffusion_identity(system, spec)):
+            assert rep.threshold == CLOSED_FORM_TOL
 
 
 class TestBlockStandardError:
@@ -286,3 +345,14 @@ class TestRunSuite:
     def test_bad_budget(self, spec_k0):
         with pytest.raises(ValueError):
             run_suite(spec_k0, budget="extreme")
+
+    def test_expands_residues_once(self, spec_k2, monkeypatch):
+        calls = []
+
+        def counted(spec):
+            calls.append(spec)
+            return residue_expansion(spec)
+
+        monkeypatch.setattr(validate, "residue_expansion", counted)
+        run_suite(spec_k2, budget="fast", seed=0)
+        assert len(calls) == 1
