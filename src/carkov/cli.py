@@ -49,7 +49,7 @@ def cmd_analyze(args) -> int:
     spec = model.load_model(args.model)
     cov = covariance.residue_expansion(spec)
     mom = covariance.moments(cov)
-    system, law = markov.assemble(spec)
+    system, law = markov._assemble_from_moments(mom)
     chi = model.ode_char_poly(spec)
 
     eig = np.sort_complex(np.linalg.eigvals(system.companion))

@@ -87,6 +87,37 @@ class SpectralMoments:
     def k(self) -> int:
         return (len(self.even_moments) - 1) // 2
 
+    @property
+    def hankel(self) -> np.ndarray:
+        """The (k+1) x (k+2) moment system [G | rhs], entry (i, j) r^(i+j)(0).
+
+        G = hankel[:, :k+1] is the Gram matrix of the derivative stack.
+        The last column r^(k+i+1)(0), the top for i = k, is the right-hand
+        side of the drift row (markov.solve_drift).
+        """
+        return np.append(self.even_moments, self.top_plus)[_hankel_order(self.k)]
+
+
+def _hankel_order(k: int) -> np.ndarray:
+    """Moment order i + j of each entry (i, j) of SpectralMoments.hankel."""
+    return np.add.outer(np.arange(k + 1), np.arange(k + 2))
+
+
+def solve_gram(mom: SpectralMoments, rhs: np.ndarray) -> np.ndarray:
+    """Solve G x = rhs for the Gram matrix G of mom.hankel.
+
+    Raises SingularGram when G is singular, x is not finite or the
+    condition number of G exceeds 1e14.
+    """
+    G = mom.hankel[:, : mom.k + 1]
+    try:
+        x = np.linalg.solve(G, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularGram(f"moment Gram matrix is singular: {exc}") from exc
+    if not np.all(np.isfinite(x)) or np.linalg.cond(G) > 1e14:
+        raise SingularGram("moment Gram matrix is numerically singular")
+    return x
+
 
 def _mul_linear_truncated(poly: np.ndarray, a: complex, b: complex) -> np.ndarray:
     """Multiply a truncated power series by (a + b*w), dropping high orders."""
@@ -289,18 +320,7 @@ def alpha_coeffs(mom: SpectralMoments, cov: CovarianceModel, u: float) -> np.nda
     """
     if not (u > 0):
         raise ValueError("alpha_coeffs requires u > 0")
-    k = mom.k
-    G = np.array(
-        [[mom.even_moments[i + j] for j in range(k + 1)] for i in range(k + 1)]
-    )
-    rhs = np.array([eval_r(cov, i, u) for i in range(k + 1)])
-    try:
-        alpha = np.linalg.solve(G, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularGram(f"moment Gram matrix is singular: {exc}") from exc
-    if not np.all(np.isfinite(alpha)) or np.linalg.cond(G) > 1e14:
-        raise SingularGram("moment Gram matrix is numerically singular")
-    return alpha
+    return solve_gram(mom, np.array([eval_r(cov, i, u) for i in range(mom.k + 1)]))
 
 
 # ---------------------------------------------------------------------------

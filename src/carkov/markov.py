@@ -13,30 +13,43 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import SpectralMoments, moments, residue_expansion
-from .errors import NonPositiveDiffusion, NotPositiveDefinite, SingularGram
+from .covariance import SpectralMoments, moments, residue_expansion, solve_gram
+from .errors import CarkovError, NonPositiveDiffusion, NotPositiveDefinite
 from .model import RootSpec
 
 
 @dataclass(frozen=True)
 class ItoSystem:
-    """Drift row a_0..a_k, diffusion b, companion matrix, noise vector b*e_k.
+    """Drift row a_0..a_k and diffusion b of dZ = A Z dt + b e_k dW.
 
-    moments are the ones the system was solved from, with their rounding
-    bounds, when it came from assemble; the closed-form checks derive
-    their rounding floors from them. None (a system read from a config)
-    holds the checks to CLOSED_FORM_TOL alone.
+    The companion matrix A and the noise vector b e_k are derived from
+    them. moments are the ones the system was solved from, with their
+    rounding bounds, when it came from assemble; the closed-form checks
+    derive their rounding floors from them. None (a system read from a
+    config) holds the checks to CLOSED_FORM_TOL alone.
     """
 
     drift: np.ndarray
     diffusion: float
-    companion: np.ndarray
-    noise_vector: np.ndarray
     moments: SpectralMoments | None = None
 
     @property
     def k(self) -> int:
         return len(self.drift) - 1
+
+    @property
+    def companion(self) -> np.ndarray:
+        """Drift matrix A: ones on the superdiagonal, the drift row at the bottom."""
+        A = np.eye(self.k + 1, k=1)
+        A[-1] = self.drift
+        return A
+
+    @property
+    def noise_vector(self) -> np.ndarray:
+        """b e_k."""
+        noise = np.zeros(self.k + 1)
+        noise[-1] = self.diffusion
+        return noise
 
 
 @dataclass(frozen=True)
@@ -50,34 +63,13 @@ class StationaryLaw:
         return self.covariance.shape[0] - 1
 
 
-def _gram(mom: SpectralMoments) -> np.ndarray:
-    k = mom.k
-    return np.array(
-        [[mom.even_moments[i + j] for j in range(k + 1)] for i in range(k + 1)]
-    )
-
-
 def solve_drift(mom: SpectralMoments) -> np.ndarray:
     """Drift coefficients a_0..a_k from the moment system.
 
     Row i states r^(k+i+1)(0+) = sum_j a_j r^(i+j)(0); the right hand
     side of the last row is the one-sided top derivative.
     """
-    k = mom.k
-    G = _gram(mom)
-    rhs = np.array(
-        [
-            mom.top_plus if i == k else mom.even_moments[k + i + 1]
-            for i in range(k + 1)
-        ]
-    )
-    try:
-        a = np.linalg.solve(G, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularGram(f"moment Gram matrix is singular: {exc}") from exc
-    if not np.all(np.isfinite(a)) or np.linalg.cond(G) > 1e14:
-        raise SingularGram("moment Gram matrix is numerically singular")
-    return a
+    return solve_gram(mom, mom.hankel[:, -1])
 
 
 def solve_diffusion(mom: SpectralMoments, drift: np.ndarray) -> float:
@@ -103,18 +95,18 @@ def solve_diffusion(mom: SpectralMoments, drift: np.ndarray) -> float:
 def stationary_law(mom: SpectralMoments) -> StationaryLaw:
     """Stationary covariance of the stack, checked for positive definiteness."""
     k = mom.k
-    sigma = np.array(
-        [
-            [(-1.0) ** i * mom.even_moments[i + j] for j in range(k + 1)]
-            for i in range(k + 1)
-        ]
-    )
+    sigma = (-1.0) ** np.arange(k + 1)[:, None] * mom.hankel[:, : k + 1]
+    _check_positive_definite(sigma)
+    return StationaryLaw(covariance=sigma)
+
+
+def _check_positive_definite(sigma: np.ndarray) -> None:
+    """Raise NotPositiveDefinite unless eigvalsh(sigma) > 1e-12 * its max."""
     eigs = np.linalg.eigvalsh(sigma)
     if eigs.min() <= 1e-12 * eigs.max():
         raise NotPositiveDefinite(
             f"stationary covariance has eigenvalue {eigs.min():.3e}"
         )
-    return StationaryLaw(covariance=sigma)
 
 
 def _assemble_from_moments(
@@ -122,28 +114,16 @@ def _assemble_from_moments(
 ) -> tuple[ItoSystem, StationaryLaw]:
     """Ito system, carrying mom, and stationary law from the moments."""
     a = solve_drift(mom)
-    b = solve_diffusion(mom, a)
-    k = mom.k
-    companion = np.zeros((k + 1, k + 1))
-    for i in range(k):
-        companion[i, i + 1] = 1.0
-    companion[k, :] = a
-    noise = np.zeros(k + 1)
-    noise[k] = b
-    system = ItoSystem(
-        drift=a, diffusion=b, companion=companion, noise_vector=noise,
-        moments=mom,
-    )
+    system = ItoSystem(drift=a, diffusion=solve_diffusion(mom, a), moments=mom)
     return system, stationary_law(mom)
 
 
 def assemble(spec: RootSpec) -> tuple[ItoSystem, StationaryLaw]:
     """Full pipeline from a validated root spec to the Ito system.
 
-    Runs residue expansion, takes moments, solves for drift and diffusion
-    and builds the companion matrix with ones on the superdiagonal and the
-    drift row at the bottom. The system carries the moments, whose
-    rounding bounds the verification suite's closed-form checks use.
+    Runs residue expansion, takes moments and solves for drift and
+    diffusion. The system carries the moments, whose rounding bounds the
+    verification suite's closed-form checks use.
     """
     return _assemble_from_moments(moments(residue_expansion(spec)))
 
@@ -161,22 +141,27 @@ def ito_to_config(system: ItoSystem, law: StationaryLaw) -> dict:
 
 
 def ito_from_config(cfg: dict) -> tuple[ItoSystem, StationaryLaw]:
-    """Rebuild (ItoSystem, StationaryLaw) from the dict form."""
-    a = np.asarray([float(x) for x in cfg["a"]], dtype=float)
-    b = float(cfg["b"])
-    sigma = np.asarray(cfg["sigma"], dtype=float)
+    """Rebuild (ItoSystem, StationaryLaw) from the dict form.
+
+    A malformed dict or a non-finite drift or sigma raises CarkovError, a
+    b that is not finite and positive NonPositiveDiffusion, and a sigma
+    that is not a positive definite (k+1) x (k+1) matrix, by the test
+    stationary_law applies, NotPositiveDefinite.
+    """
+    try:
+        a = np.asarray([float(x) for x in cfg["a"]], dtype=float)
+        b = float(cfg["b"])
+        sigma = np.asarray(cfg["sigma"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CarkovError(f"malformed Ito config: {exc}") from exc
+    if not (np.isfinite(a).all() and np.isfinite(sigma).all()):
+        raise CarkovError("Ito config drift and sigma must be finite")
+    if not (math.isfinite(b) and b > 0):
+        raise NonPositiveDiffusion(f"b = {b} must be finite and positive")
     k = len(a) - 1
     if sigma.shape != (k + 1, k + 1):
         raise NotPositiveDefinite(
             f"sigma shape {sigma.shape} does not match drift length {k + 1}"
         )
-    companion = np.zeros((k + 1, k + 1))
-    for i in range(k):
-        companion[i, i + 1] = 1.0
-    companion[k, :] = a
-    noise = np.zeros(k + 1)
-    noise[k] = b
-    return (
-        ItoSystem(drift=a, diffusion=b, companion=companion, noise_vector=noise),
-        StationaryLaw(covariance=sigma),
-    )
+    _check_positive_definite(sigma)
+    return ItoSystem(drift=a, diffusion=b), StationaryLaw(covariance=sigma)

@@ -379,39 +379,54 @@ def spectral_tail_bound(spec: RootSpec, z_max: float) -> float:
     max_mag = max(abs(z) for z in spec.roots)
     if z_max < 2.0 * max_mag:
         return np.inf
-    big_k = np.prod([abs(z) ** 2 for z in spec.roots]) / spec.scale**2
-    return 4.0 ** (k + 1) * 2.0 * big_k / ((2 * k + 1) * z_max ** (2 * k + 1))
+    return _tail_constant(spec) / ((2 * k + 1) * z_max ** (2 * k + 1))
 
 
 def default_z_max(spec: RootSpec, r0: float) -> float:
     """Truncation radius putting the tail bound at a tenth of the budget."""
     k = spec.k
     max_mag = max(abs(z) for z in spec.roots)
-    big_k = np.prod([abs(z) ** 2 for z in spec.roots]) / spec.scale**2
     budget = 0.1 * SPECTRAL_TAIL_TOL * r0
-    z = (4.0 ** (k + 1) * 2.0 * big_k / ((2 * k + 1) * budget)) ** (
-        1.0 / (2 * k + 1)
-    )
+    z = (_tail_constant(spec) / ((2 * k + 1) * budget)) ** (1.0 / (2 * k + 1))
     return max(z, 2.0 * max_mag)
+
+
+def _tail_constant(spec: RootSpec) -> float:
+    """4^(k+1) * 2 K with K = prod |zeta_j|^2 / scale^2: the tail bound
+    is this over (2k+1) z_max^(2k+1)."""
+    big_k = np.prod([abs(z) ** 2 for z in spec.roots]) / spec.scale**2
+    return 4.0 ** (spec.k + 1) * 2.0 * big_k
 
 
 #: allowed relative gap between the design variance and r(0)
 SPECTRAL_RESOLUTION_TOL = 1e-3
 
 
-def _spectral_design(spec, times, z_max, n_panels, r0=None):
+def _spectral_design(spec, times, z_max, n_panels):
     """Midpoint grid of the spectral integral at the requested times.
 
     Returns (cos_theta, sin_theta, weights): cos and sin of
     theta = outer(times, z) over the panel midpoints z, and weights[j] =
     amp * z^j, the panel amplitude of Y^(j). _spectral_rows turns these
     and the two white-noise vectors into the rows Y^(j).
-    If r0 is given, the exact output variance of row 0 (the sum of
-    squared weights) is held to it within SPECTRAL_RESOLUTION_TOL; a
-    panel grid too coarse for the density raises NotConverged. That can
-    genuinely happen: a heavy spectral tail (small k) pushes z_max so
-    far out that uniform panels no longer resolve the peak.
+    z_max None takes default_z_max. A tail bound at z_max above
+    SPECTRAL_TAIL_TOL * r(0) raises TailTooHeavy. The exact output
+    variance of row 0 (the sum of squared weights) is held to r(0)
+    within SPECTRAL_RESOLUTION_TOL; a panel grid too coarse for the
+    density raises NotConverged. That can genuinely happen: a heavy
+    spectral tail (small k) pushes z_max so far out that uniform panels
+    no longer resolve the peak.
     """
+    r0 = eval_r(residue_expansion(spec), 0, 0.0)
+    if z_max is None:
+        z_max = default_z_max(spec, r0)
+    bound = spectral_tail_bound(spec, z_max)
+    if not (bound <= SPECTRAL_TAIL_TOL * r0):
+        raise TailTooHeavy(
+            f"tail bound {bound:.3e} exceeds {SPECTRAL_TAIL_TOL:.0e} * r(0) "
+            f"= {SPECTRAL_TAIL_TOL * r0:.3e} at z_max = {z_max:.6g}; "
+            "increase z_max"
+        )
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1d array")
@@ -422,14 +437,13 @@ def _spectral_design(spec, times, z_max, n_panels, r0=None):
     dz = 2.0 * z_max / n_panels
     z = -z_max + (np.arange(n_panels) + 0.5) * dz
     amp = np.sqrt(dz / abs_p_squared(spec, z))
-    if r0 is not None:
-        var0 = float((amp**2).sum())
-        if abs(var0 - r0) > SPECTRAL_RESOLUTION_TOL * r0:
-            raise NotConverged(
-                f"{n_panels} midpoint panels over [-{z_max:.6g}, {z_max:.6g}] "
-                f"give Var Y(0) = {var0:.6g} against r(0) = {r0:.6g}; "
-                "increase n_panels (or lower z_max if the tail allows)"
-            )
+    var0 = float((amp**2).sum())
+    if abs(var0 - r0) > SPECTRAL_RESOLUTION_TOL * r0:
+        raise NotConverged(
+            f"{n_panels} midpoint panels over [-{z_max:.6g}, {z_max:.6g}] "
+            f"give Var Y(0) = {var0:.6g} against r(0) = {r0:.6g}; "
+            "increase n_panels (or lower z_max if the tail allows)"
+        )
     theta = np.outer(times, z)
     weights = amp * z[None, :] ** np.arange(spec.k + 1)[:, None]
     return np.cos(theta), np.sin(theta), weights
@@ -454,16 +468,6 @@ def _spectral_rows(design, xi_cos, xi_sin):
         rows.append(cos_theta @ (w * a) + sin_theta @ (w * b))
         a, b = b, -a
     return np.stack(rows)
-
-
-def _check_tail(spec: RootSpec, z_max: float, r0: float) -> None:
-    bound = spectral_tail_bound(spec, z_max)
-    if not (bound <= SPECTRAL_TAIL_TOL * r0):
-        raise TailTooHeavy(
-            f"tail bound {bound:.3e} exceeds {SPECTRAL_TAIL_TOL:.0e} * r(0) "
-            f"= {SPECTRAL_TAIL_TOL * r0:.3e} at z_max = {z_max:.6g}; "
-            "increase z_max"
-        )
 
 
 def sample_spectral(
@@ -494,13 +498,8 @@ def sample_spectral(
     The time grid must be uniform; the stored dt is its spacing (1.0 for
     a single time).
     """
-    cov = residue_expansion(spec)
-    r0 = eval_r(cov, 0, 0.0)
-    if z_max is None:
-        z_max = default_z_max(spec, r0)
-    _check_tail(spec, z_max, r0)
     times = np.asarray(times, dtype=float)
-    design = _spectral_design(spec, times, z_max, n_panels, r0)
+    design = _spectral_design(spec, times, z_max, n_panels)
     rng = _generator(seed, "spectral", stream)
     xi_cos = rng.standard_normal(n_panels)
     xi_sin = rng.standard_normal(n_panels)
@@ -525,13 +524,8 @@ def spectral_replicates(
     matches its values up to floating-point associativity in the matrix
     products.
     """
-    cov = residue_expansion(spec)
-    r0 = eval_r(cov, 0, 0.0)
-    if z_max is None:
-        z_max = default_z_max(spec, r0)
-    _check_tail(spec, z_max, r0)
     times = np.asarray(times, dtype=float)
-    design = _spectral_design(spec, times, z_max, n_panels, r0)
+    design = _spectral_design(spec, times, z_max, n_panels)
     out = np.empty((n_replicates, spec.k + 1, times.size))
     for start in range(0, n_replicates, chunk):
         stop = min(start + chunk, n_replicates)

@@ -21,6 +21,7 @@ import numpy as np
 from .covariance import (
     CovarianceModel,
     SpectralMoments,
+    _hankel_order,
     alpha_coeffs,
     derivative_roundings,
     eval_r,
@@ -240,7 +241,7 @@ def check_characteristic(system: ItoSystem, spec: RootSpec) -> CheckReport:
     floor = 0.0
     if system.moments is not None:
         mom = system.moments
-        hankel, order = _solve_hankel(mom)
+        hankel, order = mom.hankel, _hankel_order(k)
         snapped = (order % 2 == 1) & (hankel == 0.0)
         bounds = np.where(snapped, moment_bounds(mom)[order],
                           moment_bounds(mom, coefficients=False)[order])
@@ -296,17 +297,6 @@ def check_diffusion_identity(system: ItoSystem, spec: RootSpec) -> CheckReport:
     )
 
 
-def _solve_hankel(mom: SpectralMoments) -> tuple[np.ndarray, np.ndarray]:
-    """[G | rhs] of markov.solve_drift and the moment order of each entry.
-
-    Entry (i, j) is r^(i+j)(0) for j <= k + 1; the last column is the
-    right-hand side r^(k+i+1)(0), the top for i = k.
-    """
-    k = mom.k
-    order = np.add.outer(np.arange(k + 1), np.arange(k + 2))
-    return np.append(mom.even_moments, mom.top_plus)[order], order
-
-
 def _odd_noise(system: ItoSystem) -> np.ndarray:
     """Bound of |o_j| for each row j of the drift solve (see check_lyapunov).
 
@@ -316,8 +306,8 @@ def _odd_noise(system: ItoSystem) -> np.ndarray:
     (moment_bounds).
     """
     mom = system.moments
-    hankel, order = _solve_hankel(mom)
-    noise = (order % 2 == 1) & (order < 2 * mom.k + 1) & (hankel != 0.0)
+    order = _hankel_order(mom.k)
+    noise = (order % 2 == 1) & (order < 2 * mom.k + 1) & (mom.hankel != 0.0)
     bounds = np.where(noise, moment_bounds(mom)[order], 0.0)
     return bounds @ np.append(np.abs(system.drift), 1.0)
 

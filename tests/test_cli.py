@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from carkov import assemble, model
+from carkov import assemble, covariance, markov, model
 from carkov.cli import main
-from carkov.covariance import cov_from_config, eval_r, moments
+from carkov.covariance import cov_from_config, moments, residue_expansion
 from carkov.errors import StepTooSmall
 from carkov.simulate import exact_step_operator
 from conftest import make_random_spec
@@ -74,6 +74,18 @@ class TestAnalyze:
         assert (a / "analysis.json").read_bytes() == (b / "analysis.json").read_bytes()
         assert (a / "covariance_curve.csv").read_bytes() == \
             (b / "covariance_curve.csv").read_bytes()
+
+    def test_expands_residues_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(spec):
+            calls.append(spec)
+            return residue_expansion(spec)
+
+        for module in (covariance, markov):
+            monkeypatch.setattr(module, "residue_expansion", counted)
+        assert main(["analyze", "--model", K2, "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
 
 
 class TestSimulate:

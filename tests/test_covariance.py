@@ -36,6 +36,7 @@ from carkov.errors import (
     OrderTooHigh,
     SingularGram,
 )
+from carkov.markov import solve_drift
 from conftest import make_random_spec
 
 PI = math.pi
@@ -207,6 +208,8 @@ class TestAlphaCoeffs:
         broken = SpectralMoments(even_moments=(1.0, 0.0, 0.0), top_plus=1.0)
         with pytest.raises(SingularGram):
             alpha_coeffs(broken, cov, 1.0)
+        with pytest.raises(SingularGram):
+            solve_drift(broken)
 
 
 class TestQuadratureOracle:

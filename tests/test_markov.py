@@ -8,7 +8,7 @@ import pytest
 from carkov import assemble, moments, residue_expansion
 from carkov import model
 from carkov.covariance import SpectralMoments
-from carkov.errors import NonPositiveDiffusion, NotPositiveDefinite
+from carkov.errors import CarkovError, NonPositiveDiffusion, NotPositiveDefinite
 from carkov.markov import (
     ito_from_config,
     ito_to_config,
@@ -137,3 +137,28 @@ class TestConfig:
         assert sys2.diffusion == pytest.approx(system.diffusion)
         np.testing.assert_allclose(law2.covariance, law.covariance)
         assert sys2.k == system.k
+        np.testing.assert_array_equal(sys2.companion, system.companion)
+        np.testing.assert_array_equal(sys2.noise_vector, system.noise_vector)
+
+    @pytest.mark.parametrize(
+        "change, error",
+        [
+            ({"a": None}, CarkovError),
+            ({"a": 3.0}, CarkovError),
+            ({"b": "x"}, CarkovError),
+            ({"sigma": [[1.0, 0.0], [0.0]]}, CarkovError),
+            ({"a": [-1.0, float("nan"), -1.0]}, CarkovError),
+            ({"b": -2.0}, NonPositiveDiffusion),
+            ({"b": 0.0}, NonPositiveDiffusion),
+            ({"b": float("nan")}, NonPositiveDiffusion),
+            ({"b": float("inf")}, NonPositiveDiffusion),
+            ({"sigma": [[1.0, 0.0], [0.0, 1.0]]}, NotPositiveDefinite),
+            ({"sigma": [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+             NotPositiveDefinite),
+        ],
+    )
+    def test_rejects_what_assemble_cannot_produce(self, spec_k2, change, error):
+        # a None value drops the key
+        cfg = ito_to_config(*assemble(spec_k2)) | change
+        with pytest.raises(error):
+            ito_from_config({key: v for key, v in cfg.items() if v is not None})
