@@ -30,13 +30,9 @@ from .covariance import (
 from .markov import ItoSystem, StationaryLaw, assemble
 from .model import RealPolynomial, RootSpec, abs_p_squared, ode_char_poly
 from .simulate import (
-    MAKernel,
     SamplePath,
-    ma_covariance,
-    ma_covariance_confluent,
     sample_euler,
     sample_exact,
-    sample_moving_average,
     sample_spectral,
     spectral_replicates,
 )
@@ -46,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CovarianceModel",
     "ItoSystem",
-    "MAKernel",
     "RealPolynomial",
     "RootSpec",
     "SamplePath",
@@ -56,8 +51,6 @@ __all__ = [
     "alpha_coeffs",
     "assemble",
     "eval_r",
-    "ma_covariance",
-    "ma_covariance_confluent",
     "moments",
     "ode_char_poly",
     "one_sided_top",
@@ -65,7 +58,6 @@ __all__ = [
     "residue_expansion",
     "sample_euler",
     "sample_exact",
-    "sample_moving_average",
     "sample_spectral",
     "spectral_replicates",
     "__version__",

@@ -40,7 +40,8 @@ class OrderTooHigh(CarkovError):
 
 
 class NotConverged(CarkovError):
-    """The quadrature oracle could not certify the requested accuracy."""
+    """The quadrature oracle could not certify the requested accuracy, or
+    the spectral grid could not resolve the density."""
 
 
 class SingularGram(CarkovError):
@@ -73,14 +74,6 @@ class StepTooSmall(CarkovError):
     """The exact step e^{A dt} is so close to the identity that its computed
     spectral radius rounds to 1 or above: dt is below what double precision
     resolves for the model."""
-
-
-class TailTooHeavy(CarkovError):
-    """The spectral truncation radius leaves too much mass outside the grid."""
-
-
-class EqualRates(CarkovError):
-    """The two-sided kernel has equal decay rates; use the confluent form."""
 
 
 # ---------------------------------------------------------------------------

@@ -93,9 +93,18 @@ def solve_diffusion(mom: SpectralMoments, drift: np.ndarray) -> float:
 
 
 def stationary_law(mom: SpectralMoments) -> StationaryLaw:
-    """Stationary covariance of the stack, checked for positive definiteness."""
+    """Stationary covariance of the stack, checked for positive definiteness.
+
+    Entry (i, j) with i + j odd is the odd moment r^(i+j)(0), zero by
+    symmetry, with opposite signs above and below the diagonal. At high k
+    that moment is kept as rounding noise (see moments), so the matrix is
+    stored as (Sigma + Sigma^T) / 2, which makes those entries exactly
+    zero; entries already equal, among them the signed zeros of snapped
+    odd moments, are kept as they are.
+    """
     k = mom.k
     sigma = (-1.0) ** np.arange(k + 1)[:, None] * mom.hankel[:, : k + 1]
+    sigma = np.where(sigma == sigma.T, sigma, (sigma + sigma.T) / 2.0)
     _check_positive_definite(sigma)
     return StationaryLaw(covariance=sigma)
 
@@ -145,8 +154,10 @@ def ito_from_config(cfg: dict) -> tuple[ItoSystem, StationaryLaw]:
 
     A malformed dict or a non-finite drift or sigma raises CarkovError, a
     b that is not finite and positive NonPositiveDiffusion, and a sigma
-    that is not a positive definite (k+1) x (k+1) matrix, by the test
-    stationary_law applies, NotPositiveDefinite.
+    that is not a symmetric positive definite (k+1) x (k+1) matrix, by
+    the test stationary_law applies, NotPositiveDefinite. Symmetry is
+    checked exactly, as stationary_law stores it: the definiteness test
+    reads only the lower triangle.
     """
     try:
         a = np.asarray([float(x) for x in cfg["a"]], dtype=float)
@@ -163,5 +174,7 @@ def ito_from_config(cfg: dict) -> tuple[ItoSystem, StationaryLaw]:
         raise NotPositiveDefinite(
             f"sigma shape {sigma.shape} does not match drift length {k + 1}"
         )
+    if not np.array_equal(sigma, sigma.T):
+        raise NotPositiveDefinite("sigma is not symmetric")
     _check_positive_definite(sigma)
     return ItoSystem(drift=a, diffusion=b), StationaryLaw(covariance=sigma)

@@ -3,10 +3,10 @@
 Three samplers target the same stationary law: exact one-step transition
 (discretely exact at any dt), Euler-Maruyama (biased at order dt, kept as
 a deliberately independent reference), and a midpoint discretization of
-the spectral representation (no time recursion at all). A fourth, for
-k = 1 only, drives a two-sided exponential moving-average kernel with
-white noise. Agreement between their empirical covariances and the closed
-form is the package's main end-to-end consistency argument.
+the spectral representation on a tan-mapped frequency grid that covers
+the whole real line (no time recursion and no truncation). Agreement
+between their empirical covariances and the closed form is the package's
+main end-to-end consistency argument.
 
 All randomness flows through counter-based Philox generators keyed by
 (seed, method, stream), so different methods never share a stream and
@@ -21,27 +21,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceModel, residue_expansion, eval_r
+from .covariance import residue_expansion, eval_r
 from .errors import (
-    CarkovError,
-    EqualRates,
     FactorizationFailure,
     NotConverged,
     StepTooSmall,
-    TailTooHeavy,
     UnstableStep,
 )
 from .markov import ItoSystem, StationaryLaw
 from .model import RootSpec, abs_p_squared
 
-#: permitted fraction of spectral mass outside the truncation radius,
-#: relative to r(0)
-SPECTRAL_TAIL_TOL = 1e-6
-
 #: default number of midpoint panels for the spectral sampler
 SPECTRAL_PANELS = 4096
 
-_METHOD_CODES = {"exact": 1, "euler": 2, "spectral": 3, "moving_average": 4}
+_METHOD_CODES = {"exact": 1, "euler": 2, "spectral": 3}
 
 
 @dataclass(frozen=True)
@@ -68,37 +61,6 @@ class SamplePath:
     @property
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.n_points)
-
-
-@dataclass(frozen=True)
-class MAKernel:
-    """Two-sided exponential moving-average kernel for k = 1.
-
-    f(x) = amp * e^{x * a_minus} for x < 0 and amp * e^{-x * a_plus} for
-    x >= 0: continuous at 0 by construction, with different decay rates
-    on the two sides.
-    """
-
-    a_minus: float
-    a_plus: float
-    amp: float
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(
-            x < 0,
-            self.amp * np.exp(x * self.a_minus),
-            self.amp * np.exp(-x * self.a_plus),
-        )
-
-    def slope(self, x):
-        """Derivative of the kernel (the x >= 0 branch at the kink)."""
-        x = np.asarray(x, dtype=float)
-        return np.where(
-            x < 0,
-            self.amp * self.a_minus * np.exp(x * self.a_minus),
-            -self.amp * self.a_plus * np.exp(-x * self.a_plus),
-        )
 
 
 def _generator(seed: int, method: str, stream: int = 0) -> np.random.Generator:
@@ -366,67 +328,36 @@ def sample_euler(
 # ---------------------------------------------------------------------------
 # spectral representation
 
-def spectral_tail_bound(spec: RootSpec, z_max: float) -> float:
-    """Rigorous upper bound on the spectral mass outside [-z_max, z_max].
+#: map scale of the spectral grid, in units of the geometric mean of
+#: |zeta|: a smaller scale widens the tail panels, a larger one the centre
+#: panels, and either way the lag covariance aliases more
+SPECTRAL_MAP_SCALE = 4.0
 
-    For |z| >= 2 max|zeta| every factor obeys |z - zeta| >= |z| / 2, so
-    1/|P(z)|^2 <= 4^(k+1) K / z^(2k+2) with K = prod |zeta_j|^2 / scale^2,
-    and the tail integral is bounded by the closed form below. Returns
-    +inf when z_max is inside twice the largest root, where the bound
-    does not apply.
-    """
-    k = spec.k
-    max_mag = max(abs(z) for z in spec.roots)
-    if z_max < 2.0 * max_mag:
-        return np.inf
-    return _tail_constant(spec) / ((2 * k + 1) * z_max ** (2 * k + 1))
-
-
-def default_z_max(spec: RootSpec, r0: float) -> float:
-    """Truncation radius putting the tail bound at a tenth of the budget."""
-    k = spec.k
-    max_mag = max(abs(z) for z in spec.roots)
-    budget = 0.1 * SPECTRAL_TAIL_TOL * r0
-    z = (_tail_constant(spec) / ((2 * k + 1) * budget)) ** (1.0 / (2 * k + 1))
-    return max(z, 2.0 * max_mag)
-
-
-def _tail_constant(spec: RootSpec) -> float:
-    """4^(k+1) * 2 K with K = prod |zeta_j|^2 / scale^2: the tail bound
-    is this over (2k+1) z_max^(2k+1)."""
-    big_k = np.prod([abs(z) ** 2 for z in spec.roots]) / spec.scale**2
-    return 4.0 ** (spec.k + 1) * 2.0 * big_k
-
-
-#: allowed relative gap between the design variance and r(0)
+#: allowed relative gap between each row's design variance and its
+#: closed form (-1)^j r^(2j)(0)
 SPECTRAL_RESOLUTION_TOL = 1e-3
 
 
-def _spectral_design(spec, times, z_max, n_panels):
-    """Midpoint grid of the spectral integral at the requested times.
+def _spectral_design(spec, times, n_panels):
+    """Mapped midpoint grid of the spectral integral at the requested times.
 
     Returns (cos_theta, sin_theta, weights): cos and sin of
-    theta = outer(times, z) over the panel midpoints z, and weights[j] =
+    theta = outer(times, z) over the panel frequencies z, and weights[j] =
     amp * z^j, the panel amplitude of Y^(j). _spectral_rows turns these
     and the two white-noise vectors into the rows Y^(j).
-    z_max None takes default_z_max. A tail bound at z_max above
-    SPECTRAL_TAIL_TOL * r(0) raises TailTooHeavy. The exact output
-    variance of row 0 (the sum of squared weights) is held to r(0)
-    within SPECTRAL_RESOLUTION_TOL; a panel grid too coarse for the
-    density raises NotConverged. That can genuinely happen: a heavy
-    spectral tail (small k) pushes z_max so far out that uniform panels
-    no longer resolve the peak.
+
+    The frequencies are z_p = s tan(pi (u_p - 1/2)) at the midpoints
+    u_p = (p + 1/2) / n_panels of [0, 1] (Boyd 1987, J. Comput. Phys.
+    69:112), so the grid covers the whole real line and nothing is
+    truncated; amp_p^2 = (dz/du)(u_p) / (n_panels |P(z_p)|^2). The map
+    scale s is SPECTRAL_MAP_SCALE times the geometric mean of |zeta|. In
+    u every row's variance integrand z^(2j) / |P|^2 dz/du is smooth and
+    periodic, so the midpoint sum converges fast; the exact design
+    variance of each row (the sum of its squared weights) is held to
+    (-1)^j r^(2j)(0) within SPECTRAL_RESOLUTION_TOL, and a grid that
+    cannot resolve the density (roots many decades apart) raises
+    NotConverged.
     """
-    r0 = eval_r(residue_expansion(spec), 0, 0.0)
-    if z_max is None:
-        z_max = default_z_max(spec, r0)
-    bound = spectral_tail_bound(spec, z_max)
-    if not (bound <= SPECTRAL_TAIL_TOL * r0):
-        raise TailTooHeavy(
-            f"tail bound {bound:.3e} exceeds {SPECTRAL_TAIL_TOL:.0e} * r(0) "
-            f"= {SPECTRAL_TAIL_TOL * r0:.3e} at z_max = {z_max:.6g}; "
-            "increase z_max"
-        )
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1d array")
@@ -434,18 +365,23 @@ def _spectral_design(spec, times, z_max, n_panels):
         steps = np.diff(times)
         if steps.min() <= 0 or (steps.max() - steps.min()) > 1e-9 * steps.max():
             raise ValueError("times must be uniformly increasing")
-    dz = 2.0 * z_max / n_panels
-    z = -z_max + (np.arange(n_panels) + 0.5) * dz
-    amp = np.sqrt(dz / abs_p_squared(spec, z))
-    var0 = float((amp**2).sum())
-    if abs(var0 - r0) > SPECTRAL_RESOLUTION_TOL * r0:
-        raise NotConverged(
-            f"{n_panels} midpoint panels over [-{z_max:.6g}, {z_max:.6g}] "
-            f"give Var Y(0) = {var0:.6g} against r(0) = {r0:.6g}; "
-            "increase n_panels (or lower z_max if the tail allows)"
-        )
-    theta = np.outer(times, z)
+    s = SPECTRAL_MAP_SCALE * math.exp(np.log(np.abs(spec.roots)).mean())
+    u = (np.arange(n_panels) + 0.5) / n_panels
+    z = s * np.tan(math.pi * (u - 0.5))
+    dz_du = math.pi * (s + z**2 / s)
+    amp = np.sqrt(dz_du / (n_panels * abs_p_squared(spec, z)))
     weights = amp * z[None, :] ** np.arange(spec.k + 1)[:, None]
+    cov = residue_expansion(spec)
+    for j, w in enumerate(weights):
+        var = float(w @ w)
+        target = (-1.0) ** j * eval_r(cov, 2 * j, 0.0)
+        if not abs(var - target) <= SPECTRAL_RESOLUTION_TOL * target:
+            raise NotConverged(
+                f"{n_panels} mapped midpoint panels (scale {s:.6g}) give "
+                f"Var Y^({j}) = {var:.6g} against {target:.6g}; the roots "
+                "span too many decades for the grid, increase n_panels"
+            )
+    theta = np.outer(times, z)
     return np.cos(theta), np.sin(theta), weights
 
 
@@ -474,32 +410,29 @@ def sample_spectral(
     spec: RootSpec,
     times,
     seed: int,
-    z_max: float | None = None,
     n_panels: int = SPECTRAL_PANELS,
     stream: int = 0,
 ) -> SamplePath:
     """Synthesize the stack from its spectral representation.
 
     Y^(j)(t) is a cosine/sine integral against two independent white
-    noises with amplitude 1/|P(z)|; the integral over [-z_max, z_max] is
-    discretized by n_panels midpoint panels, so each output is an exact
-    Gaussian linear combination of 2 * n_panels standard normals and no
-    time recursion occurs. Truncation must leave less than
-    SPECTRAL_TAIL_TOL * r(0) of spectral mass outside the grid or
-    TailTooHeavy is raised; derivative rows carry an additional z^j
-    weight whose truncated mass is reported in the package docs rather
-    than checked, which is the price of keeping the criterion scale-free.
-    The panel grid must also resolve the density peak: when the exact
-    output variance misses r(0) by more than SPECTRAL_RESOLUTION_TOL the
-    call raises NotConverged instead of returning a mis-scaled path (for
-    k = 0 the tail budget pushes z_max so far out that this needs an
-    impractical panel count; prefer the exact sampler there).
+    noises with amplitude 1/|P(z)|, over the whole real line. The
+    integral is discretized by n_panels midpoint panels of the map
+    z = s tan(pi (u - 1/2)) (see _spectral_design), so each output is an
+    exact Gaussian linear combination of 2 * n_panels standard normals
+    and no time recursion occurs. Every row's variance matches
+    (-1)^j r^(2j)(0) to rounding for every k >= 0, or NotConverged is
+    raised. The panels widen towards the tails, so the design covariance
+    at large lags carries an aliasing error; at the default panel count
+    it stays below 1e-4 r(0) over 25 correlation times for every k >= 1
+    model the tests draw (about 3e-3 r(0) at k = 0, whose density decays
+    slowest).
 
     The time grid must be uniform; the stored dt is its spacing (1.0 for
     a single time).
     """
     times = np.asarray(times, dtype=float)
-    design = _spectral_design(spec, times, z_max, n_panels)
+    design = _spectral_design(spec, times, n_panels)
     rng = _generator(seed, "spectral", stream)
     xi_cos = rng.standard_normal(n_panels)
     xi_sin = rng.standard_normal(n_panels)
@@ -513,7 +446,6 @@ def spectral_replicates(
     times,
     n_replicates: int,
     seed: int,
-    z_max: float | None = None,
     n_panels: int = SPECTRAL_PANELS,
     chunk: int = 256,
 ) -> np.ndarray:
@@ -525,7 +457,7 @@ def spectral_replicates(
     products.
     """
     times = np.asarray(times, dtype=float)
-    design = _spectral_design(spec, times, z_max, n_panels)
+    design = _spectral_design(spec, times, n_panels)
     out = np.empty((n_replicates, spec.k + 1, times.size))
     for start in range(0, n_replicates, chunk):
         stop = min(start + chunk, n_replicates)
@@ -538,102 +470,6 @@ def spectral_replicates(
             xi_sin[:, c] = rng.standard_normal(n_panels)
         out[start:stop] = _spectral_rows(design, xi_cos, xi_sin).transpose(2, 0, 1)
     return out
-
-
-# ---------------------------------------------------------------------------
-# moving-average construction (k <= 1)
-
-def _check_kernel(kernel: MAKernel) -> None:
-    if not (kernel.a_minus > 0 and kernel.a_plus > 0):
-        raise CarkovError("kernel decay rates must be positive")
-    if kernel.amp == 0:
-        raise CarkovError("kernel amplitude must be nonzero")
-
-
-def ma_covariance(kernel: MAKernel) -> CovarianceModel:
-    """Covariance of white noise driven through a two-sided kernel.
-
-    With distinct rates the lag-u covariance for u >= 0 is
-    A1 e^{-u a_minus} + A2 e^{-u a_plus} with
-
-        A1 = amp^2 (1/(2 a_minus) - 1/(a_minus - a_plus)),
-        A2 = amp^2 (1/(2 a_plus) + 1/(a_minus - a_plus)),
-
-    which satisfies the realizability constraint
-    a_minus A1 + a_plus A2 = 0 identically, i.e. r'(0) = 0: the output is
-    once differentiable and lands in the k = 1 family.
-    """
-    _check_kernel(kernel)
-    am, ap, amp = kernel.a_minus, kernel.a_plus, kernel.amp
-    if abs(am - ap) <= 1e-9 * max(am, ap):
-        raise EqualRates(
-            f"rates {am} and {ap} coincide; use ma_covariance_confluent"
-        )
-    a1 = amp**2 * (1.0 / (2.0 * am) - 1.0 / (am - ap))
-    a2 = amp**2 * (1.0 / (2.0 * ap) + 1.0 / (am - ap))
-    check = am * a1 + ap * a2
-    if abs(check) > 1e-10 * abs(a1 + a2):
-        raise CarkovError(f"realizability identity violated: {check:.3e}")
-    terms = sorted(
-        [(complex(a1), 1j * am, 0), (complex(a2), 1j * ap, 0)],
-        key=lambda t: t[1].imag,
-    )
-    return CovarianceModel(terms=tuple(terms), k=1)
-
-
-def ma_covariance_confluent(kernel: MAKernel) -> CovarianceModel:
-    """Equal-rates limit of ma_covariance: r(u) = amp^2 (1/a + u) e^{-a u}."""
-    _check_kernel(kernel)
-    am, ap = kernel.a_minus, kernel.a_plus
-    if abs(am - ap) > 1e-9 * max(am, ap):
-        raise CarkovError(
-            f"rates {am} and {ap} differ; use ma_covariance"
-        )
-    a = 0.5 * (am + ap)
-    amp2 = kernel.amp**2
-    terms = ((complex(amp2 / a), 1j * a, 0), (complex(amp2), 1j * a, 1))
-    return CovarianceModel(terms=terms, k=1)
-
-
-def sample_moving_average(
-    kernel: MAKernel,
-    dt: float,
-    n_steps: int,
-    seed: int,
-    stream: int = 0,
-    oversample: int = 40,
-    trunc_tol: float = 1e-8,
-) -> SamplePath:
-    """Drive the moving-average kernel with discretized white noise.
-
-    The driving noise lives on a midpoint grid fine enough to resolve
-    both decay rates (oversample points per unit correlation length) and
-    wide enough that the neglected kernel amplitude is below trunc_tol.
-    Returns a two-row path (Y, Y'). Quadratic in path length, intended
-    for moderate n_steps.
-    """
-    _check_kernel(kernel)
-    if not (dt > 0):
-        raise ValueError("dt must be positive")
-    rate = min(kernel.a_minus, kernel.a_plus)
-    h = 1.0 / (rate * oversample)
-    reach = math.log(1.0 / trunc_tol) / rate
-    t_max = dt * n_steps
-    lo, hi = -reach, t_max + reach
-    n_grid = int(math.ceil((hi - lo) / h))
-    theta = lo + (np.arange(n_grid) + 0.5) * h
-    rng = _generator(seed, "moving_average", stream)
-    xi = rng.standard_normal(n_grid)
-    times = dt * np.arange(n_steps + 1)
-    lag = times[:, None] - theta[None, :]
-    row0 = (kernel(lag) * math.sqrt(h)) @ xi
-    row1 = (kernel.slope(lag) * math.sqrt(h)) @ xi
-    return SamplePath(
-        dt=float(dt),
-        values=np.vstack([row0, row1]),
-        seed=int(seed),
-        method="moving_average",
-    )
 
 
 # ---------------------------------------------------------------------------

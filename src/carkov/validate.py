@@ -184,16 +184,19 @@ def check_lyapunov(system: ItoSystem, law: StationaryLaw) -> CheckReport:
 
     For a system from assemble, A, Sigma and b^2 come from the same
     moments, and the residual R has a fixed form: R_ij = 0 exactly for
-    i, j < k; R_jk and R_kk are, up to sign, the drift solve's residual
-    (G a - rhs)_j; R_kj adds 2 o_j, where o_j sums the terms
-    a_l r^(l+j)(0) and r^(k+j+1)(0) of markov.solve_drift's row j that
-    have odd order. The even moments' errors thus cancel; only the odd
-    moments, zero by symmetry and rounding noise where not snapped,
-    enter. The rounding floor is ||E||_F / ||Sigma||_F with
-    E = gamma(5k + 10) (S + S' + b^2 e_k e_k'), S = |A||Sigma| (3(k+1)
-    roundings for the solve's backward error, Higham 2002, Theorem 9.4,
-    with |L||U| taken as |G|; k + 3 for an entry of R; k + 4 for b^2),
-    plus the bound of 2 |o_j| (_odd_noise) in row k.
+    i, j < k; R_kk is, up to sign, the drift solve's residual
+    (G a - rhs)_k; R_jk = R_kj is (-1)^j ((G a - rhs)_j - o_j), where
+    o_j sums the terms a_l r^(l+j)(0) and r^(k+j+1)(0) of
+    markov.solve_drift's row j that have odd order (stationary_law
+    stores those entries of Sigma as zero). The even moments' errors
+    thus cancel; only the odd moments, zero by symmetry and rounding
+    noise where not snapped, enter. The rounding floor is
+    ||E||_F / ||Sigma||_F with E = gamma(5k + 10) (S + S' +
+    b^2 e_k e_k'), S = |A||Sigma| (3(k+1) roundings for the solve's
+    backward error, Higham 2002, Theorem 9.4, with |L||U| taken as |G|;
+    k + 3 for an entry of R; k + 4 for b^2), plus the bound of 2 |o_j|
+    (_odd_noise) in row k, which covers |o_j| in both row k and column k
+    in the Frobenius norm.
     """
     A = system.companion
     sigma = law.covariance

@@ -146,13 +146,13 @@ class TestSimulate:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "UnstableStep"
 
-    def test_spectral_heavy_tail_exit_2(self, tmp_path, capsys):
+    def test_spectral_k0_exit_0(self, tmp_path):
         rc = main(["simulate", "--model", K0, "--method", "spectral",
-                   "--dt", "0.5", "--steps", "4", "--z-max", "5",
-                   "--out", str(tmp_path)])
-        assert rc == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "TailTooHeavy"
+                   "--dt", "0.5", "--steps", "4", "--out", str(tmp_path)])
+        assert rc == 0
+        lines = (tmp_path / "path.csv").read_text().splitlines()
+        assert lines[0] == "t,y0"
+        assert len(lines) == 6
 
     def test_bad_dt_exit_2(self, tmp_path, capsys):
         rc = main(["simulate", "--model", K0, "--method", "exact",

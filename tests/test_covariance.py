@@ -275,6 +275,50 @@ class TestQuadratureOracle:
         assert checked > 30
 
 
+def two_exponential_r(a_minus, a_plus, amp, u):
+    """Covariance of white noise driven through the two-sided kernel
+    amp e^{x a_minus} (x < 0), amp e^{-x a_plus} (x >= 0), for u >= 0.
+
+    Distinct rates give A1 e^{-u a_minus} + A2 e^{-u a_plus} with
+    A1 = amp^2 (1/(2 a_minus) - 1/(a_minus - a_plus)) and
+    A2 = amp^2 (1/(2 a_plus) + 1/(a_minus - a_plus)); equal rates a give
+    the confluent form amp^2 (1/a + u) e^{-a u}. Either is a k = 1
+    covariance with roots i a_minus, i a_plus.
+    """
+    if a_minus == a_plus:
+        return amp**2 * (1.0 / a_minus + u) * np.exp(-a_minus * u)
+    a1 = amp**2 * (1.0 / (2.0 * a_minus) - 1.0 / (a_minus - a_plus))
+    a2 = amp**2 * (1.0 / (2.0 * a_plus) + 1.0 / (a_minus - a_plus))
+    return a1 * np.exp(-a_minus * u) + a2 * np.exp(-a_plus * u)
+
+
+class TestTwoExponentialKernel:
+    # the kernel's spectral density is 1 / |P|^2 with roots i a_minus,
+    # i a_plus and scale c = a_minus a_plus sqrt(2 pi) / (amp (a_minus +
+    # a_plus)), so the hand-integrated covariance checks the residues
+    def test_matches_residue_route(self):
+        a_minus, a_plus, amp = 1.0, 2.0, 1.0
+        c = a_minus * a_plus * math.sqrt(2 * PI) / (amp * (a_minus + a_plus))
+        spec = model.validate([a_minus * 1j, a_plus * 1j], c)
+        u = np.linspace(0.0, 4.0, 9)
+        np.testing.assert_allclose(
+            two_exponential_r(a_minus, a_plus, amp, u),
+            eval_r(residue_expansion(spec), 0, u),
+            rtol=1e-10,
+        )
+
+    def test_confluent_matches_residue_route(self):
+        a, amp = 2.0, 3.0
+        c = a * math.sqrt(2 * PI) / (2.0 * amp)
+        spec = model.validate([a * 1j, a * 1j], c)
+        u = np.linspace(0.0, 4.0, 9)
+        np.testing.assert_allclose(
+            two_exponential_r(a, a, amp, u),
+            eval_r(residue_expansion(spec), 0, u),
+            rtol=1e-10,
+        )
+
+
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_r_is_even_and_peaks_at_zero(entropy):

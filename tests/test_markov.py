@@ -102,6 +102,19 @@ class TestConsistency:
                     if (i + j) % 2 == 1:
                         assert S[i, j] == 0.0
 
+    @pytest.mark.parametrize("k", range(5, 11))
+    def test_sigma_exactly_symmetric(self, k):
+        # from k = 5 on the odd moments are often kept as rounding noise,
+        # with opposite signs above and below the diagonal; the stored
+        # Sigma is symmetric and its odd-order entries exactly zero
+        rng = np.random.default_rng(2026)
+        for _ in range(20):
+            _, law = assemble(make_random_spec(rng, k))
+            S = law.covariance
+            np.testing.assert_array_equal(S, S.T)
+            odd = (np.add.outer(np.arange(k + 1), np.arange(k + 1)) % 2) == 1
+            assert (S[odd] == 0.0).all()
+
     def test_scale_equivariance(self, spec_k1_pair):
         sys1, law1 = assemble(spec_k1_pair)
         sys2, law2 = assemble(model.validate(list(spec_k1_pair.roots), 2.0))
@@ -154,6 +167,8 @@ class TestConfig:
             ({"b": float("inf")}, NonPositiveDiffusion),
             ({"sigma": [[1.0, 0.0], [0.0, 1.0]]}, NotPositiveDefinite),
             ({"sigma": [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+             NotPositiveDefinite),
+            ({"sigma": [[1.0, 5.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
              NotPositiveDefinite),
         ],
     )

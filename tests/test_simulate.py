@@ -1,4 +1,4 @@
-"""Samplers: exact transition, Euler, spectral synthesis, moving average."""
+"""Samplers: exact transition, Euler, spectral synthesis."""
 
 import json
 import math
@@ -10,35 +10,30 @@ import scipy.linalg
 from carkov import (
     assemble,
     eval_r,
-    ma_covariance,
-    ma_covariance_confluent,
     moments,
     residue_expansion,
     sample_euler,
     sample_exact,
-    sample_moving_average,
     sample_spectral,
     spectral_replicates,
 )
 from carkov import model
+from carkov.covariance import moment_bounds
 from carkov.errors import (
-    EqualRates,
     FactorizationFailure,
     NotConverged,
     StepTooSmall,
-    TailTooHeavy,
     UnstableStep,
 )
 from carkov.markov import StationaryLaw
+from carkov.model import abs_p_squared
 from carkov.simulate import (
-    MAKernel,
+    SPECTRAL_MAP_SCALE,
     _generator,
     _psd_sqrt,
     _spectral_design,
-    default_z_max,
     euler_step_bound,
     exact_step_operator,
-    spectral_tail_bound,
     write_csv,
     write_metadata,
 )
@@ -198,25 +193,28 @@ class TestSampleEuler:
         assert abs(emp - law.covariance[0, 0]) > 5 * se
 
 
+def mapped_grid(spec, n):
+    """Frequencies and amplitudes of the tan-mapped midpoint grid, with
+    dz/du written as s pi sec^2."""
+    s = SPECTRAL_MAP_SCALE * math.exp(np.mean(np.log(np.abs(spec.roots))))
+    angle = PI * ((np.arange(n) + 0.5) / n - 0.5)
+    z = s * np.tan(angle)
+    amp = np.sqrt(s * PI / np.cos(angle) ** 2 / (n * abs_p_squared(spec, z)))
+    return z, amp
+
+
+def weights_and_lag_error(spec, cov):
+    """Row weights of the design, and the largest |design covariance - r|
+    / r(0) of row 0 over lags 0..25 tau on a 0.25 tau grid."""
+    tau = 1.0 / min(z.imag for z in spec.roots)
+    lags = 0.25 * tau * np.arange(101)
+    cos_t, _sin_t, weights = _spectral_design(spec, lags, 4096)
+    design = cos_t @ weights[0] ** 2
+    error = np.abs(design - eval_r(cov, 0, lags)).max() / eval_r(cov, 0, 0.0)
+    return weights, error
+
+
 class TestSpectral:
-    def test_tail_bound_regions(self, spec_k0):
-        assert spectral_tail_bound(spec_k0, 1.5) == np.inf
-        assert spectral_tail_bound(spec_k0, 10.0) == pytest.approx(0.8)
-
-    def test_tail_bound_dominates_true_tail(self, spec_k0):
-        # true tail of 1/(1+z^2) beyond 10 is 2*(pi/2 - arctan 10)
-        true_tail = 2 * (PI / 2 - math.atan(10.0))
-        assert spectral_tail_bound(spec_k0, 10.0) >= true_tail
-
-    def test_default_z_max_meets_budget(self, spec_k2):
-        r0 = eval_r(residue_expansion(spec_k2), 0, 0.0)
-        z_max = default_z_max(spec_k2, r0)
-        assert spectral_tail_bound(spec_k2, z_max) <= 0.1 * 1e-6 * r0 * (1 + 1e-9)
-
-    def test_tail_too_heavy(self, spec_k0):
-        with pytest.raises(TailTooHeavy):
-            sample_spectral(spec_k0, np.arange(4) * 0.5, seed=1, z_max=5.0)
-
     def test_times_must_be_uniform(self, spec_k0):
         with pytest.raises(ValueError):
             sample_spectral(spec_k0, np.array([0.0, 0.5, 1.0, 2.0]), seed=1)
@@ -236,50 +234,62 @@ class TestSpectral:
         # Var Y^(j)(t) is the sum over panels of the squared weights of
         # the two independent noises: row j weighs them by w_j cos and
         # w_j sin of theta (up to sign and swap), so the sum is
-        # sum_p w_jp^2 (cos^2 + sin^2) at every t. Row 0 is guarded by
-        # the tail check, so it matches the closed form; rows j >= 1
-        # carry the documented z^j truncation bias and are tested
-        # against the truncated integral instead.
-        import scipy.integrate
-
-        from carkov.model import abs_p_squared
-
+        # sum_p w_jp^2 (cos^2 + sin^2) at every t. The mapped grid covers
+        # the whole line, so every row matches (-1)^j r^(2j)(0).
         cov = residue_expansion(spec_k2)
-        r0 = eval_r(cov, 0, 0.0)
         times = np.array([0.0, 0.7])
-        z_max = default_z_max(spec_k2, r0)
-        cos_t, sin_t, weights = _spectral_design(spec_k2, times, z_max, 4096)
+        cos_t, sin_t, weights = _spectral_design(spec_k2, times, 4096)
         assert cos_t.shape == sin_t.shape == (2, 4096)
         assert weights.shape == (3, 4096)
-
-        def row_variance(j):
-            return (cos_t**2 + sin_t**2) @ weights[j] ** 2
-
         for j in range(3):
-            truncated, _ = scipy.integrate.quad(
-                lambda z: z ** (2 * j) / abs_p_squared(spec_k2, z),
-                -z_max, z_max, points=(-2.0, 0.0, 2.0), limit=400,
+            variance = (cos_t**2 + sin_t**2) @ weights[j] ** 2
+            np.testing.assert_allclose(
+                variance, (-1) ** j * eval_r(cov, 2 * j, 0.0), rtol=1e-12
             )
-            np.testing.assert_allclose(row_variance(j), truncated, rtol=1e-3)
-        # row 0 (and only row 0) is also within tolerance of r(0)
-        np.testing.assert_allclose(row_variance(0), r0, rtol=1e-3)
-        # the j = k deficit is real and one-sided: truncation only loses mass
-        assert (row_variance(2) < (-1) ** 2 * eval_r(cov, 4, 0.0)).all()
+
+    @pytest.mark.parametrize("k", range(11))
+    def test_population_rows_and_lags(self, k):
+        # 20 models per k: every row's design variance against the closed
+        # form, which at high k carries its own rounding (moment_bounds);
+        # and the lag covariance of row 0 over 25 tau. k = 0 decays
+        # slowest, so its tail panels alias most (about 3e-3 r(0)).
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            spec = make_random_spec(rng, k)
+            cov = residue_expansion(spec)
+            mom = moments(cov)
+            weights, error = weights_and_lag_error(spec, cov)
+            bounds = moment_bounds(mom)
+            for j in range(k + 1):
+                target = (-1) ** j * mom.even_moments[2 * j]
+                gap = abs(weights[j] @ weights[j] - target)
+                assert gap <= 1e-10 * target + bounds[2 * j]
+            assert error <= (1e-4 if k else 5e-3)
+
+    def test_not_periodic_within_25_tau(self):
+        # a uniform grid of spacing dz repeats its covariance with period
+        # 2 pi / dz; for this k = 1 model the truncated uniform grid had
+        # period 27.4 tau and an error of 0.12 r(0) within 25 tau
+        spec = make_random_spec(np.random.default_rng(2026), 1)
+        _weights, error = weights_and_lag_error(spec, residue_expansion(spec))
+        assert error <= 1e-4
+
+    def test_k0(self, spec_k0):
+        # 1/(1 + z^2) decays slowest of all; its variance is still exact
+        path = sample_spectral(spec_k0, np.arange(4) * 0.5, seed=1)
+        assert path.values.shape == (1, 4)
+        _cos_t, _sin_t, weights = _spectral_design(spec_k0, np.zeros(1), 4096)
+        assert weights[0] @ weights[0] == pytest.approx(PI, rel=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
     def test_matches_shifted_block_oracle(self, k):
         # oracle: one cos and one sin block per derivative order,
         # evaluated at theta + j pi/2. k in {1, 2, 3, 4, 8} covers every
         # j mod 4.
-        from carkov.model import abs_p_squared
-
         spec = make_random_spec(np.random.default_rng(100 + k), k)
         times = 0.05 * np.arange(40)
-        z_max = default_z_max(spec, eval_r(residue_expansion(spec), 0, 0.0))
         n = 4096
-        dz = 2.0 * z_max / n
-        z = -z_max + (np.arange(n) + 0.5) * dz
-        amp = np.sqrt(dz / abs_p_squared(spec, z))
+        z, amp = mapped_grid(spec, n)
         theta = np.outer(times, z)
         blocks = [
             (np.cos(theta + j * PI / 2) * amp * z**j,
@@ -320,89 +330,15 @@ class TestSpectral:
         assert abs(emp - target) < 4 * se
         assert abs((reps[:, 0, 0] ** 2).mean() - r0) < 4 * r0 / math.sqrt(1000)
 
-    def test_unresolvable_grid_raises(self, spec_k0):
-        # the k = 0 tail budget forces z_max ~ 1e7; 4096 uniform panels
-        # then step over the density peak entirely. That must be refused,
-        # not silently returned as a near-zero-variance path.
+    def test_unresolvable_grid_raises(self):
+        # roots six decades apart: the panels near z = 0 are wider than
+        # the 1e-3 peak, so row 0 gets 44 % of r(0). That must be
+        # refused, not returned as a mis-scaled path.
+        spec = model.validate([1e-3j, 10j, 1e3j], 1.0)
+        with pytest.raises(NotConverged, match=r"Var Y\^\(0\)"):
+            sample_spectral(spec, np.arange(4) * 0.5, seed=1)
         with pytest.raises(NotConverged):
-            sample_spectral(spec_k0, np.arange(4) * 0.5, seed=1)
-
-
-class TestMovingAverage:
-    def test_kernel_goldens(self):
-        ker = MAKernel(a_minus=1.0, a_plus=2.0, amp=1.0)
-        cov = ma_covariance(ker)
-        coefs = {root: coef for coef, root, _ in cov.terms}
-        assert coefs[1j].real == pytest.approx(1.5, rel=1e-12)
-        assert coefs[2j].real == pytest.approx(-0.75, rel=1e-12)
-        assert cov.k == 1
-
-    def test_realizability_constraint(self):
-        # a- A1 + a+ A2 = 0 makes r'' continuous through zero
-        for a_minus, a_plus, amp in [(1.0, 2.0, 1.0), (0.5, 3.0, 2.0)]:
-            cov = ma_covariance(MAKernel(a_minus, a_plus, amp))
-            coefs = {root.imag: coef.real for coef, root, _ in cov.terms}
-            assert a_minus * coefs[a_minus] + a_plus * coefs[a_plus] == pytest.approx(
-                0.0, abs=1e-12
-            )
-
-    def test_matches_residue_route(self):
-        # same process reached through the root parameterization
-        a_minus, a_plus, amp = 1.0, 2.0, 1.0
-        c = a_minus * a_plus * math.sqrt(2 * PI) / (amp * (a_minus + a_plus))
-        spec = model.validate([a_minus * 1j, a_plus * 1j], c)
-        direct = ma_covariance(MAKernel(a_minus, a_plus, amp))
-        via_roots = residue_expansion(spec)
-        u = np.linspace(0.0, 4.0, 9)
-        np.testing.assert_allclose(
-            eval_r(direct, 0, u), eval_r(via_roots, 0, u), rtol=1e-10
-        )
-
-    def test_equal_rates_rejected(self):
-        with pytest.raises(EqualRates):
-            ma_covariance(MAKernel(1.0, 1.0 + 1e-12, 1.0))
-
-    def test_confluent_golden(self):
-        cov = ma_covariance_confluent(MAKernel(2.0, 2.0, 3.0))
-        by_power = {power: coef.real for coef, _, power in cov.terms}
-        assert by_power[0] == pytest.approx(4.5, rel=1e-12)
-        assert by_power[1] == pytest.approx(9.0, rel=1e-12)
-
-    def test_confluent_is_the_limit(self):
-        conf = ma_covariance_confluent(MAKernel(2.0, 2.0, 3.0))
-        near = ma_covariance(MAKernel(2.0, 2.0 + 1e-5, 3.0))
-        u = np.array([0.0, 0.5, 1.3])
-        np.testing.assert_allclose(
-            eval_r(conf, 0, u), eval_r(near, 0, u), rtol=1e-4
-        )
-
-    def test_kernel_slope_is_derivative(self):
-        ker = MAKernel(0.7, 1.9, 1.3)
-        h = 1e-6
-        for s in (0.2, 1.0, 2.5):
-            fd = (ker(s + h) - ker(s - h)) / (2 * h)
-            assert ker.slope(s) == pytest.approx(fd, rel=1e-6)
-
-    def test_path_shape_and_determinism(self):
-        ker = MAKernel(1.0, 2.0, 1.0)
-        a = sample_moving_average(ker, dt=0.25, n_steps=12, seed=3)
-        b = sample_moving_average(ker, dt=0.25, n_steps=12, seed=3)
-        assert a.values.shape == (2, 13)
-        assert a.method == "moving_average"
-        np.testing.assert_array_equal(a.values, b.values)
-
-    def test_path_statistics(self):
-        # ensemble variance at fixed t against the closed-form r(0)
-        ker = MAKernel(1.0, 2.0, 1.0)
-        cov = ma_covariance(ker)
-        r0 = eval_r(cov, 0, 0.0)
-        vals = np.array([
-            sample_moving_average(ker, dt=0.5, n_steps=2, seed=8, stream=s).values[0, -1]
-            for s in range(1500)
-        ])
-        emp = float((vals * vals).mean())
-        se = r0 * math.sqrt(2.0 / vals.size)
-        assert abs(emp - r0) < 4 * se
+            spectral_replicates(spec, np.arange(4) * 0.5, 2, seed=1)
 
 
 class TestPathIO:
