@@ -1,10 +1,22 @@
-"""The state recursion: the doubling scan against a sequential loop."""
+"""The state recursion: the blocked two-level scan against a sequential loop.
+
+Path lengths straddle the block size SCAN_BLOCK and the chunk of
+SCAN_CHUNK_BLOCKS blocks, where the scan switches between its table
+product, its carry pass and the chunk-to-chunk carry.
+"""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from carkov import assemble
-from carkov.simulate import ar1_recursion, exact_step_operator
+from carkov.simulate import (
+    SCAN_BLOCK,
+    SCAN_CHUNK_BLOCKS,
+    ar1_recursion,
+    exact_step_operator,
+)
 from conftest import make_random_spec
 
 
@@ -46,6 +58,17 @@ def _model_step(k, kind, steps_per_tau):
     return step, noise_map, z0
 
 
+def _assert_matches_loop(step, noise_map, z0, shocks):
+    """The scan within 1e-10 of each row's scale of the loop oracle."""
+    scan = ar1_recursion(step, noise_map, z0, shocks)
+    loop = _loop(step, noise_map, z0, shocks)
+    n = len(shocks)
+    assert scan.shape == loop.shape == (step.shape[0], n + 1)
+    row_scale = np.abs(loop).max(axis=1)
+    worst = (np.abs(scan - loop).max(axis=1) / row_scale).max()
+    assert worst <= 1e-10, f"n = {n}: {worst:.3e} of the row scale"
+
+
 @pytest.mark.parametrize(
     "kind, steps_per_tau", [("exact", 50), ("euler", 998), ("euler", 1e4)]
 )
@@ -53,14 +76,47 @@ def _model_step(k, kind, steps_per_tau):
 def test_matches_loop_oracle(k, kind, steps_per_tau):
     step, noise_map, z0 = _model_step(k, kind, steps_per_tau)
     rng = np.random.default_rng(7)
-    for n in (0, 1, 2, 3, 1000, 1023, 1025):
+    B = SCAN_BLOCK
+    for n in (0, 1, 2, 3, B - 1, B, B + 1, 1000, 1023, 1025):
         shocks = rng.standard_normal((n, noise_map.shape[1]))
-        scan = ar1_recursion(step, noise_map, z0, shocks)
-        loop = _loop(step, noise_map, z0, shocks)
-        assert scan.shape == loop.shape == (k + 1, n + 1)
-        row_scale = np.abs(loop).max(axis=1)
-        worst = (np.abs(scan - loop).max(axis=1) / row_scale).max()
-        assert worst <= 1e-10, f"n = {n}: {worst:.3e} of the row scale"
+        _assert_matches_loop(step, noise_map, z0, shocks)
+
+
+def test_matches_loop_oracle_across_chunks():
+    """Two full chunks and a partial block, at a radius of 0.9999."""
+    step, noise_map, z0 = _model_step(8, "euler", 1e4)
+    n = 2 * SCAN_BLOCK * SCAN_CHUNK_BLOCKS + 5
+    shocks = np.random.default_rng(8).standard_normal((n, 1))
+    _assert_matches_loop(step, noise_map, z0, shocks)
+
+
+def test_tables_follow_the_operands():
+    """The memoised tables never outlive the operands they came from:
+    a rejected step is rejected again, and a step changed in place
+    between calls gets fresh tables."""
+    bad = np.array([[0.5, 0.0], [0.0, -1.5]])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="spectral radius"):
+            ar1_recursion(bad, np.eye(2), np.ones(2), np.zeros((4, 2)))
+    rng = np.random.default_rng(9)
+    step, noise_map, z0, shocks = _random_case(rng, 3, 2, 3 * SCAN_BLOCK + 2)
+    _assert_matches_loop(step, noise_map, z0, shocks)
+    step[0, 1] += 0.2
+    _assert_matches_loop(step, noise_map, z0, shocks)
+
+
+def test_memory_stays_near_the_output():
+    """Chunking keeps the temporaries of a long path to a fraction of it."""
+    step, noise_map, z0 = _model_step(8, "exact", 50)
+    shocks = np.random.default_rng(10).standard_normal((200_000, 9))
+    ar1_recursion(step, noise_map, z0, shocks[:10])  # tables built untraced
+    tracemalloc.start()
+    try:
+        out = ar1_recursion(step, noise_map, z0, shocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"
 
 
 def test_shapes():
