@@ -10,7 +10,9 @@ main end-to-end consistency argument.
 
 All randomness flows through counter-based Philox generators keyed by
 (seed, method, stream), so different methods never share a stream and
-any replicate can be regenerated in isolation.
+any replicate can be regenerated in isolation. The verification suite
+samples its exact path on stream 0 and draws its Markov probe's
+replicate states as one batch from the (seed, "exact", 1) substream.
 """
 
 from __future__ import annotations
@@ -99,9 +101,9 @@ def _scan_tables(step_bytes, noise_bytes, d, q, B):
     whose (j, i) block is (step^(i-j) noise_map)^T for i >= j and zero
     otherwise, and powers_t is the (d, B d) table whose block i is
     (step^(i+1))^T. Both are read-only. Keyed on the operands' bytes, so
-    repeated calls with one operator (the replicate ensemble) build them
-    once; raises ValueError, which is not cached, when step has spectral
-    radius >= 1.
+    repeated calls with one operator (many paths sampled at one dt and
+    method) build them once; raises ValueError, which is not cached, when
+    step has spectral radius >= 1.
     """
     step = np.frombuffer(step_bytes).reshape(d, d)
     noise_map = np.frombuffer(noise_bytes).reshape(d, q)
@@ -315,20 +317,6 @@ def exact_step_operator(
     return phi, innovation
 
 
-def _exact_values(phi, innovation, root_sigma, n_steps, seed, stream):
-    """Exact-chain path values from a prepared step operator.
-
-    phi and innovation come from exact_step_operator and root_sigma is a
-    square root of the stationary covariance. The initial state is drawn
-    first, then one shock row per step, all from the (seed, "exact",
-    stream) substream.
-    """
-    rng = _generator(seed, "exact", stream)
-    z0 = root_sigma @ rng.standard_normal(phi.shape[0])
-    shocks = rng.standard_normal((n_steps, phi.shape[0]))
-    return ar1_recursion(phi, innovation, z0, shocks)
-
-
 def sample_exact(
     system: ItoSystem,
     law: StationaryLaw,
@@ -357,9 +345,10 @@ def sample_exact(
         Stationary path: every column is marginally N(0, Sigma).
     """
     phi, innovation = exact_step_operator(system, law, dt)
-    values = _exact_values(
-        phi, innovation, _psd_sqrt(law.covariance), n_steps, seed, stream
-    )
+    rng = _generator(seed, "exact", stream)
+    z0 = _psd_sqrt(law.covariance) @ rng.standard_normal(phi.shape[0])
+    shocks = rng.standard_normal((n_steps, phi.shape[0]))
+    values = ar1_recursion(phi, innovation, z0, shocks)
     return SamplePath(dt=float(dt), values=values, seed=int(seed), method="exact")
 
 

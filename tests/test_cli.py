@@ -184,8 +184,8 @@ class TestSimulate:
 
     def test_simulate_does_not_load_scipy(self, tmp_path):
         # scipy is imported on first use (quadrature oracle, clustered
-        # eigenvalues, verify's probe design); a fresh interpreter runs the
-        # spectral and exact samplers with numpy alone
+        # eigenvalues); a fresh interpreter runs the spectral and exact
+        # samplers and the fast verification suite with numpy alone
         code = textwrap.dedent(f"""
             import sys
             import carkov, carkov.cli
@@ -195,6 +195,10 @@ class TestSimulate:
                     "--dt", "0.01", "--steps", "50", "--seed", "1",
                     "--out", {str(tmp_path)!r} + "/" + method])
                 assert rc == 0, method
+            rc = carkov.cli.main([
+                "verify", "--model", {K2!r}, "--budget", "fast",
+                "--seed", "1", "--out", {str(tmp_path)!r} + "/verify"])
+            assert rc == 0, "verify"
             loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
             assert not loaded, loaded
             from carkov import model, quadrature_r

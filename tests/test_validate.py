@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from carkov import assemble, eval_r, moments, residue_expansion, sample_exact
 from carkov import model, validate
@@ -335,12 +336,41 @@ class TestRunSuite:
             assert (abs(rho) * math.sqrt(n_rep) >= STAT_BAND + PROBE_MARGIN
                     or n_rep == PROBE_MAX_FACTOR * 1000)
 
-    def test_replicate_ensemble_matches_sample_exact(self, spec_k2):
+    def test_replicate_ensemble_law(self, spec_k2):
+        # the three states are a stationary exact-chain draw: Cov(Z(m g),
+        # Z(j g)) = e^{A (m - j) g} Sigma for j <= m, entrywise within 4
+        # standard errors of the product means
         system, law = assemble(spec_k2)
-        ens = _replicate_ensemble(system, law, 0.125, 12, 5, seed=3)
-        for r in range(5):
-            one = sample_exact(system, law, 0.125, 12, 3, stream=1 + r)
-            assert ens[r].tobytes() == one.values.tobytes()
+        gap, reps = 0.5, 50_000
+        ens = _replicate_ensemble(system, law, gap, reps, seed=3)
+        assert ens.shape == (reps, 3, 3)
+        for m in range(3):
+            for j in range(m + 1):
+                target = scipy.linalg.expm(
+                    system.companion * ((m - j) * gap)) @ law.covariance
+                prods = ens[:, :, m, None] * ens[:, None, :, j]
+                se = prods.std(axis=0) / math.sqrt(reps)
+                assert (np.abs(prods.mean(axis=0) - target)
+                        <= 4 * se).all(), (m, j)
+
+    def test_scalar_control_reaches_power_past_the_old_cap(self):
+        # perfbench high_k seed 2, fast model 10: the largest population
+        # |pcorr| over PROBE_GAPS is 0.0365, so 8000 replicates expect a
+        # statistic of 3.27, inside the band, and the control failed
+        spec = model.validate(
+            [complex(s * re, im) for re, im in (
+                (2.729836057607351, 0.20892295773072794),
+                (1.6912049903738802, 0.7392659310612562),
+                (0.40589338291345, 1.0099781875413738),
+                (2.169553189780512, 1.766256125125654),
+            ) for s in (-1, 1)],
+            1.506356472553741,
+        )
+        for seed in range(5):
+            reports = {r.name: r for r in run_suite(spec, "fast", seed)}
+            for name in ("markov_partial_correlation",
+                         "markov_scalar_negative_control"):
+                assert reports[name].passed, (seed, reports[name].detail)
 
     def test_bad_budget(self, spec_k0):
         with pytest.raises(ValueError):
