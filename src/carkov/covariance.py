@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +38,7 @@ from .errors import (
     OrderTooHigh,
     SingularGram,
 )
-from .model import RootSpec, abs_p_squared
+from .model import RootSpec
 
 #: distinct roots closer than this (relative to max |root|) are rejected;
 #: the caller must merge them into a true multiplicity
@@ -407,12 +406,156 @@ def moment_bounds(mom: SpectralMoments, coefficients: bool = True) -> np.ndarray
 
 # ---------------------------------------------------------------------------
 # quadrature oracle
+#
+# Both rules are double-exponential (Takahasi and Mori 1974, Publ. RIMS
+# 9:721): a change of variable x(s) makes the integrand decay double
+# exponentially in s at both ends, so the trapezoid sum with step h
+# converges geometrically in 1/h and a fixed s range holds the whole
+# integral. Each rule halves h until two halvings in a row change the sum
+# by at most the tolerance; one agreement alone can be an accident of
+# two coarse sums that both miss the integrand.
+
+#: first trapezoid step of both rules
+DE_FIRST_STEP = 0.5
+
+#: halvings of the step tried before NotConverged is raised
+DE_HALVINGS = 10
+
+#: the exp-sinh rule's range |s| <= 4.5, x from e^-71 to e^71
+_EXP_SINH_SPAN = 4.5
+
+#: the Ooura-Mori rule's node range: far enough left that the map has
+#: decayed below rounding at the finest step, far enough right that the
+#: nodes sit on the zeros of the oscillation to rounding
+_OSC_LEFT, _OSC_RIGHT = 9.0, 6.0
+
+#: the oracle's stopping tolerance, relative to max(1, r(0)): well inside
+#: QUAD_REL_TOL, because the error estimate is the change between
+#: halvings and the value returned is one halving finer
+QUAD_STOP_TOL = 1e-11
+
+
+def _density(spec: RootSpec, j: int, x: np.ndarray) -> np.ndarray:
+    """x^j / |P(x)|^2 for x >= 0, as a product of bounded factors.
+
+    Each root's factor x^a / |1 - x/zeta|^2 takes a <= 2 of the j powers
+    of x (j <= 2k leaves at most two per root), so no partial product
+    overflows at the rules' largest nodes.
+    """
+    out = np.full(x.shape, spec.scale**-2.0)
+    left = j
+    for zeta in spec.roots:
+        a = min(left, 2)
+        left -= a
+        out *= x**a / np.abs(1.0 - x / zeta) ** 2
+    return out
+
+
+def _exp_sinh_sums(f):
+    """Trapezoid sums of integral_0^inf f(x) dx for h = DE_FIRST_STEP, h/2, ...
+
+    x = exp(pi/2 sinh s) over |s| <= _EXP_SINH_SPAN; each halving adds
+    the midpoints of the previous grid to its sum.
+    """
+    h = DE_FIRST_STEP
+    n = int(round(_EXP_SINH_SPAN / h))
+    s = h * np.arange(-n, n + 1)
+    total = 0.0
+    while True:
+        x = np.exp(0.5 * math.pi * np.sinh(s))
+        total += float(np.sum(f(x) * x * np.cosh(s)))
+        yield 0.5 * math.pi * h * total
+        s = h * (np.arange(-n, n) + 0.5)
+        h /= 2.0
+        n *= 2
+
+
+def _ooura_mori_sums(f, omega: float, parity: int, x_scale: float):
+    """Sums for integral_0^inf f(x) trig(omega x) dx, trig cos (parity 0)
+    or sin (parity 1), for a sequence of halving steps h.
+
+    The rule of Ooura and Mori (1999, J. Comput. Appl. Math. 112:229):
+    x = M phi(t) / omega with M = pi / h and
+
+        phi(t) = t / (1 - exp(-2t - alpha (1 - e^-t) - beta (e^t - 1))),
+
+    beta = 1/4, alpha = beta / sqrt(1 + M log(1 + M) / (4 pi)), at the
+    nodes t = (n - (1 - parity)/2) h. phi(t) tends to t double
+    exponentially as t grows, so M phi(t_n) approaches n pi (sin) or
+    (n - 1/2) pi (cos), the zeros of the oscillation, and the terms die
+    out although f decays only algebraically. The first step makes
+    M / omega at least 2 x_scale, so that the nodes resolve f around
+    x_scale (the largest root magnitude) before any two sums are
+    compared: from a coarser step every node can sit where the
+    oscillation has died out, and two such sums agree near 0.
+    """
+    h = min(DE_FIRST_STEP, math.pi / (2.0 * omega * x_scale))
+    shift = 0.5 * (1 - parity)
+    beta = 0.25
+    while True:
+        m = math.pi / h
+        alpha = beta / math.sqrt(1.0 + m * math.log1p(m) / (4.0 * math.pi))
+        n = np.arange(math.floor(-_OSC_LEFT / h + shift),
+                      math.ceil(_OSC_RIGHT / h + shift) + 1)
+        t = (n - shift) * h
+        u = -2.0 * t - alpha * (1.0 - np.exp(-t)) - beta * np.expm1(t)
+        du = -2.0 - alpha * np.exp(-t) - beta * np.exp(t)
+        phi = np.empty_like(t)
+        dphi = np.empty_like(t)
+        # t < 0: u > 0, and 1 - e^u = e^u expm1(-u) keeps e^u from overflowing
+        left = t < 0
+        tl, em, e = t[left], np.expm1(-u[left]), np.exp(-u[left])
+        phi[left] = tl * e / em
+        dphi[left] = e / em * (1.0 + tl * du[left] / em)
+        # t > 0: u < 0 and 1 - e^u = -expm1(u)
+        right = t > 0
+        tr, d, e = t[right], -np.expm1(u[right]), np.exp(u[right])
+        phi[right] = tr / d
+        dphi[right] = 1.0 / d + tr * du[right] * e / d**2
+        # t = 0, a node of the sin rule: the limits of phi and phi'
+        zero = t == 0
+        a = 2.0 + alpha + beta
+        phi[zero] = 1.0 / a
+        dphi[zero] = (alpha - beta + a * a) / (2.0 * a * a)
+        trig = np.sin(m * phi) if parity else np.cos(m * phi)
+        yield math.pi / omega * float(np.sum(trig * f(m * phi / omega) * dphi))
+        h /= 2.0
+
+
+def _quad_semi_infinite(spec: RootSpec, j: int, t: float, epsabs: float,
+                        epsrel: float) -> tuple[float, float, bool]:
+    """2 * integral_0^inf z^j trig(z |t|) / |P(z)|^2 dz; (value, error, converged).
+
+    trig is 1 at t = 0 (the exp-sinh rule), otherwise cos for even j and
+    sin for odd j (the Ooura-Mori rule). The step is halved up to
+    DE_HALVINGS times; the value is converged once two halvings in a row
+    each change it by at most max(epsabs, epsrel |value|), and the error
+    is the last change.
+    """
+    def f(x):
+        return _density(spec, j, x)
+
+    if t == 0.0:
+        sums = _exp_sinh_sums(f)
+    else:
+        x_scale = max(abs(z) for z in spec.roots)
+        sums = _ooura_mori_sums(f, abs(float(t)), j % 2, x_scale)
+    val, agreed, err = 2.0 * next(sums), 0, math.inf
+    for _ in range(DE_HALVINGS):
+        prev, val = val, 2.0 * next(sums)
+        if not math.isfinite(val):
+            return val, err, False
+        err = abs(val - prev)
+        agreed = agreed + 1 if err <= max(epsabs, epsrel * abs(val)) else 0
+        if agreed == 2:
+            return val, err, True
+    return val, err, False
+
 
 @functools.lru_cache(maxsize=1024)
 def _envelope(spec: RootSpec, j: int) -> float:
     """2 * integral_0^inf z^j / |P(z)|^2 dz, an upper envelope for |r^(j)|."""
-    val, err, ok = _quad_semi_infinite(spec, j, weight=None, wvar=None,
-                                       epsabs=0.0, epsrel=1e-11)
+    val, err, ok = _quad_semi_infinite(spec, j, 0.0, epsabs=0.0, epsrel=1e-12)
     if not np.isfinite(val):
         raise NotConverged(f"envelope integral failed for order {j}")
     if not ok and err > 1e-8 * max(1.0, abs(val)):
@@ -420,32 +563,7 @@ def _envelope(spec: RootSpec, j: int) -> float:
             f"envelope integral for order {j} only reached "
             f"absolute error {err:.2e}"
         )
-    return 2.0 * val
-
-def _quad_semi_infinite(spec, j, weight, wvar, epsabs, epsrel):
-    """One QUADPACK call on [0, inf); returns (value, abserr, converged).
-
-    scipy is imported here, on the oracle's first use, so that the rest
-    of the package loads with numpy alone.
-    """
-    import scipy.integrate
-
-    def integrand(z):
-        return z**j / abs_p_squared(spec, z)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-        if weight is None:
-            res = scipy.integrate.quad(
-                integrand, 0.0, np.inf,
-                epsabs=epsabs, epsrel=epsrel, limit=400, full_output=1,
-            )
-        else:
-            res = scipy.integrate.quad(
-                integrand, 0.0, np.inf, weight=weight, wvar=wvar,
-                epsabs=epsabs, limit=200, limlst=400, full_output=1,
-            )
-    return res[0], res[1], len(res) == 3
+    return val
 
 
 def quadrature_r(spec: RootSpec, j: int, t: float) -> float:
@@ -456,17 +574,21 @@ def quadrature_r(spec: RootSpec, j: int, t: float) -> float:
         even j:  r^(j)(t) = (-1)^(j/2)   * 2 * int_0^inf z^j cos(zt)/|P|^2 dz
         odd j:   r^(j)(t) = (-1)^((j+1)/2) * 2 * int_0^inf z^j sin(zt)/|P|^2 dz,
 
-    and hands the semi-infinite oscillatory integral to QUADPACK (plain
-    adaptive for t = 0, Fourier-weight extrapolation otherwise). Shares no
-    code with the residue path beyond |P|^2 itself.
+    and evaluates the semi-infinite integral with numpy alone by a
+    double-exponential rule: exp-sinh for t = 0, the Ooura-Mori rule for
+    Fourier-type integrals otherwise (see _quad_semi_infinite). Each rule
+    halves its step until two halvings in a row agree within
+    QUAD_STOP_TOL * max(1, r(0)), or within 1e-13 of the order-j envelope
+    where rounding allows no better. Shares no code with the residue path.
 
     Raises
     ------
     OrderTooHigh
         If j > 2k (the integral no longer converges absolutely).
     NotConverged
-        If QUADPACK cannot certify the accuracy QUAD_REL_TOL relative to
-        max(1, r(0)).
+        If the rule does not meet its stopping tolerance within
+        DE_HALVINGS halvings, which leaves QUAD_REL_TOL relative to
+        max(1, r(0)) uncertified.
     """
     k = spec.k
     if j > 2 * k:
@@ -475,7 +597,7 @@ def quadrature_r(spec: RootSpec, j: int, t: float) -> float:
         raise ValueError("derivative order must be >= 0")
 
     r0 = _envelope(spec, 0)  # equals r(0): the j = 0 integrand is positive
-    target = 0.1 * QUAD_REL_TOL * max(1.0, r0)
+    target = QUAD_STOP_TOL * max(1.0, r0)
     floor = 1e-13 * max(1.0, _envelope(spec, j))
     epsabs = max(target, floor)
 
@@ -485,16 +607,14 @@ def quadrature_r(spec: RootSpec, j: int, t: float) -> float:
             return 0.0  # sin(0) kills the integrand identically
         return sign * _envelope(spec, j)
 
-    weight = "cos" if j % 2 == 0 else "sin"
-    val, err, ok = _quad_semi_infinite(
-        spec, j, weight=weight, wvar=abs(float(t)), epsabs=epsabs, epsrel=0.0
-    )
-    if not ok or err > 10.0 * epsabs or not np.isfinite(val):
+    val, err, ok = _quad_semi_infinite(spec, j, t, epsabs=epsabs, epsrel=0.0)
+    if not ok or not np.isfinite(val):
         raise NotConverged(
-            f"QUADPACK could not reach epsabs {epsabs:.2e} for "
-            f"j = {j}, t = {t} (reported error {err:.2e})"
+            f"the double-exponential rule could not reach epsabs "
+            f"{epsabs:.2e} for j = {j}, t = {t} in {DE_HALVINGS} step "
+            f"halvings (last change {err:.2e})"
         )
-    out = sign * 2.0 * val
+    out = sign * val
     if t < 0 and j % 2 == 1:
         out = -out
     return out

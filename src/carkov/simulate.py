@@ -163,7 +163,7 @@ def _scan_chunk(shock_rows, carry, toeplitz_t, powers_t, out):
     return states[-1, -d:].copy()
 
 
-def ar1_recursion(step, noise_map, z0, shocks):
+def ar1_recursion(step, noise_map, z0, shocks, out=None):
     """State recursion z_{m+1} = step @ z_m + noise_map @ shocks[m].
 
     Parameters
@@ -176,17 +176,21 @@ def ar1_recursion(step, noise_map, z0, shocks):
         Initial state.
     shocks : (n, q) array
         One row per step.
+    out : (d, n+1) float array, optional
+        Where to write the path, for instance a view into a longer one;
+        a new array when omitted.
 
     Returns
     -------
     (d, n+1) array
-        Column m is z_m; column 0 is z0.
+        Column m is z_m; column 0 is z0. out itself when given.
 
     Raises
     ------
     ValueError
-        If the operand shapes disagree, or if step has spectral radius
-        >= 1.
+        If an operand has the wrong number of dimensions or the shapes
+        disagree, if out is not a (d, n+1) float64 array, or if step has
+        spectral radius >= 1.
 
     Notes
     -----
@@ -209,19 +213,23 @@ def ar1_recursion(step, noise_map, z0, shocks):
     """
     step = np.asarray(step, dtype=float)
     noise_map = np.asarray(noise_map, dtype=float)
-    z0 = np.asarray(z0, dtype=float)
+    z0 = np.array(z0, dtype=float)  # a copy: z0 may be a view of out
     shocks = np.asarray(shocks, dtype=float)
-    d = step.shape[0]
+    if step.ndim != 2 or noise_map.ndim != 2 or shocks.ndim != 2:
+        raise ValueError("step, noise_map and shocks must be 2-d arrays")
+    d, q = noise_map.shape
     n = shocks.shape[0]
-    if step.shape != (d, d) or noise_map.shape[0] != d or z0.shape != (d,) \
-            or shocks.shape[1] != noise_map.shape[1]:
+    if step.shape != (d, d) or z0.shape != (d,) or shocks.shape[1] != q:
         raise ValueError("inconsistent kernel operand shapes")
-    q = noise_map.shape[1]
+    if out is None:
+        out = np.empty((d, n + 1))
+    elif not isinstance(out, np.ndarray) or out.shape != (d, n + 1) \
+            or out.dtype != np.float64:
+        raise ValueError(f"out must be a ({d}, {n + 1}) float64 array")
     toeplitz_t, powers_t = _scan_tables(
         step.tobytes(), noise_map.tobytes(), d, q, SCAN_BLOCK
     )
 
-    out = np.empty((d, n + 1))
     out[:, 0] = z0
     carry, pos = z0, 0
     while pos < n:
@@ -236,6 +244,26 @@ def ar1_recursion(step, noise_map, z0, shocks):
             out[:, pos + 1:pos + 1 + span],
         )
         pos += span
+    return out
+
+
+def _draw_path(step, noise_map, z0, n_steps, rng):
+    """(d, n_steps+1) path of the recursion from z0, with standard normal
+    shocks drawn from rng one scan chunk at a time.
+
+    The chunks are the scan's own (SCAN_CHUNK_BLOCKS blocks of SCAN_BLOCK
+    steps) and the draws come in the stream's order, so the path is the
+    one that drawing every shock first would give, bit for bit, while
+    only one chunk's shocks are held at a time.
+    """
+    out = np.empty((step.shape[0], n_steps + 1))
+    out[:, 0] = z0
+    chunk = SCAN_BLOCK * SCAN_CHUNK_BLOCKS
+    for pos in range(0, n_steps, chunk):
+        span = min(chunk, n_steps - pos)
+        shocks = rng.standard_normal((span, noise_map.shape[1]))
+        ar1_recursion(step, noise_map, out[:, pos], shocks,
+                      out=out[:, pos:pos + span + 1])
     return out
 
 
@@ -347,8 +375,7 @@ def sample_exact(
     phi, innovation = exact_step_operator(system, law, dt)
     rng = _generator(seed, "exact", stream)
     z0 = _psd_sqrt(law.covariance) @ rng.standard_normal(phi.shape[0])
-    shocks = rng.standard_normal((n_steps, phi.shape[0]))
-    values = ar1_recursion(phi, innovation, z0, shocks)
+    values = _draw_path(phi, innovation, z0, n_steps, rng)
     return SamplePath(dt=float(dt), values=values, seed=int(seed), method="exact")
 
 
@@ -401,9 +428,8 @@ def sample_euler(
         z0 = np.asarray(z0, dtype=float)
         if z0.shape != (d,):
             raise ValueError(f"z0 must have shape ({d},)")
-    shocks = rng.standard_normal((n_steps, 1))
     noise_map = (system.noise_vector * math.sqrt(dt)).reshape(d, 1)
-    values = ar1_recursion(step, noise_map, z0, shocks)
+    values = _draw_path(step, noise_map, z0, n_steps, rng)
     return SamplePath(dt=float(dt), values=values, seed=int(seed), method="euler")
 
 

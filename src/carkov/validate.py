@@ -51,6 +51,9 @@ STAT_BAND = 4.0
 #: block length for autocovariance standard errors, in correlation times
 BLOCK_CORR_TIMES = 10.0
 
+#: block means formed at a time by the standard error
+_SE_SLICE = 65536
+
 #: probe gaps of the replicate ensemble, in correlation times
 PROBE_GAPS = (0.25, 0.5, 0.75, 1.0)
 
@@ -334,15 +337,39 @@ def _char_poly_error(spec: RootSpec) -> np.ndarray:
 
 def block_standard_error(x: np.ndarray, block_len: int) -> float:
     """Standard error of the mean of x from overlapping block means."""
-    m = x.size
+    return _cumsum_standard_error(np.concatenate([[0.0], np.cumsum(x)]),
+                                  block_len)
+
+
+def _cumsum_standard_error(c: np.ndarray, block_len: int) -> float:
+    """block_standard_error of x, given c = [0, cumsum(x)].
+
+    The overlapping block means (c[i + L] - c[i]) / L are formed a slice
+    of _SE_SLICE at a time, once for their mean and once for their
+    variance, so no temporary grows with the path.
+    """
+    m = c.size - 1
     block_len = max(1, min(int(block_len), m))
-    if m - block_len + 1 < 2:
+    count = m - block_len + 1
+    if count < 2:
         raise PathTooShort(
             f"{m} samples cannot support blocks of length {block_len}"
         )
-    c = np.concatenate([[0.0], np.cumsum(x)])
-    means = (c[block_len:] - c[:-block_len]) / block_len
-    var_mean = means.var(ddof=1) * block_len / m
+    starts = range(0, count, _SE_SLICE)
+
+    def means(i):
+        stop = min(i + _SE_SLICE, count)
+        out = c[i + block_len:stop + block_len] - c[i:stop]
+        out /= block_len
+        return out
+
+    mean = sum(float(means(i).sum()) for i in starts) / count
+    square_sum = 0.0
+    for i in starts:
+        dev = means(i)
+        dev -= mean
+        square_sum += float(dev @ dev)
+    var_mean = square_sum / (count - 1) * block_len / m
     return float(math.sqrt(var_mean))
 
 
@@ -353,7 +380,8 @@ def check_empirical_covariance(
 
     lags are in time units and must sit on the path grid. The standard
     error of each lagged product mean comes from overlapping blocks of
-    ten correlation times.
+    ten correlation times. One buffer the length of the path holds each
+    lag's products and then, in place, their running sum.
     """
     tau = _correlation_time(cov)
     if lags is None:
@@ -365,6 +393,8 @@ def check_empirical_covariance(
     block_len = int(round(BLOCK_CORR_TIMES * tau / dt))
     details = []
     worst = 0.0
+    buf = np.empty(n + 1)
+    buf[0] = 0.0
     for lag in lags:
         idx = int(round(lag / dt))
         if abs(idx * dt - lag) > 1e-9 * max(dt, lag):
@@ -375,9 +405,11 @@ def check_empirical_covariance(
                 f"lag {lag}: {max(m, 0)} products cannot fill 100 blocks "
                 f"of {block_len} samples"
             )
-        prods = y[: n - idx] * y[idx:]
+        prods = buf[1:m + 1]
+        np.multiply(y[:m], y[idx:], out=prods)
         rhat = float(prods.mean())
-        se = block_standard_error(prods, block_len)
+        np.cumsum(prods, out=prods)
+        se = _cumsum_standard_error(buf[:m + 1], block_len)
         target = eval_r(cov, 0, float(lag))
         z = abs(rhat - target) / se if se > 0 else np.inf
         worst = max(worst, z)

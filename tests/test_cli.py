@@ -183,9 +183,10 @@ class TestSimulate:
         assert "spectral radius" in err["message"]
 
     def test_simulate_does_not_load_scipy(self, tmp_path):
-        # scipy is imported on first use (quadrature oracle, clustered
-        # eigenvalues); a fresh interpreter runs the spectral and exact
-        # samplers and the fast verification suite with numpy alone
+        # scipy is imported only by the exact sampler when the drift has
+        # clustered eigenvalues; a fresh interpreter runs the spectral and
+        # exact samplers, analyze, the fast verification suite and the
+        # quadrature oracle with numpy alone
         code = textwrap.dedent(f"""
             import sys
             import carkov, carkov.cli
@@ -196,14 +197,19 @@ class TestSimulate:
                     "--out", {str(tmp_path)!r} + "/" + method])
                 assert rc == 0, method
             rc = carkov.cli.main([
+                "analyze", "--model", {K2!r},
+                "--out", {str(tmp_path)!r} + "/analyze"])
+            assert rc == 0, "analyze"
+            rc = carkov.cli.main([
                 "verify", "--model", {K2!r}, "--budget", "fast",
                 "--seed", "1", "--out", {str(tmp_path)!r} + "/verify"])
             assert rc == 0, "verify"
-            loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
-            assert not loaded, loaded
             from carkov import model, quadrature_r
             spec = model.load_model({K0!r})
             assert abs(quadrature_r(spec, 0, 0.5) - {math.pi!r} * {math.exp(-0.5)!r}) < 1e-6
+            assert abs(quadrature_r(spec, 0, 0.0) - {math.pi!r}) < 1e-6
+            loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+            assert not loaded, loaded
             """)
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
         run = subprocess.run([sys.executable, "-c", code], env=env,

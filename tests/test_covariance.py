@@ -7,6 +7,7 @@ integrated by hand:
     roots [i, i], scale 1:  r(u) = (pi/2) (1 + |u|) exp(-|u|)
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -248,12 +249,25 @@ class TestQuadratureOracle:
             quadrature_r(spec_k0, 1, 0.0)
 
     def test_not_converged_propagates(self, spec_k0, monkeypatch):
-        def broken(spec, j, weight, wvar, epsabs, epsrel):
+        real = cov_mod._quad_semi_infinite
+
+        def broken_away_from_zero(spec, j, t, epsabs, epsrel):
+            if t == 0.0:
+                return real(spec, j, t, epsabs, epsrel)
             return 0.0, 1.0, False
 
-        monkeypatch.setattr(cov_mod, "_quad_semi_infinite", broken)
-        with pytest.raises(NotConverged):
+        monkeypatch.setattr(cov_mod, "_quad_semi_infinite", broken_away_from_zero)
+        with pytest.raises(NotConverged, match="halvings"):
             quadrature_r(spec_k0, 0, 1.0)
+
+        # an envelope that does not converge, or is not finite, fails every
+        # point, t = 0 included
+        for result in ((0.0, 1.0, False), (math.nan, math.inf, False)):
+            monkeypatch.setattr(cov_mod, "_quad_semi_infinite",
+                                lambda *args, **kwargs: result)
+            cov_mod._envelope.cache_clear()
+            with pytest.raises(NotConverged, match="envelope"):
+                quadrature_r(spec_k0, 0, 0.0)
 
     def test_matches_residue_route(self):
         # the oracle and the closed form are independent computations of
@@ -273,6 +287,79 @@ class TestQuadratureOracle:
                     assert a == pytest.approx(b, rel=1e-6, abs=1e-6 * scale)
                     checked += 1
         assert checked > 30
+
+
+    def test_closed_form_population_within_gate(self):
+        # the benchmark's oracle gate: j = 0 at lags 0, 0.5, 1 and 2 tau
+        # on k = 5..10 models, within 1e-8 max(1, r(0)) of the residues
+        rng = np.random.default_rng(23)
+        for k in range(5, 11):
+            for _ in range(3):
+                spec = make_random_spec(rng, k=k)
+                cov = residue_expansion(spec)
+                tau = 1.0 / min(z.imag for z in spec.roots)
+                r0 = eval_r(cov, 0, 0.0)
+                for lag in (0.0, 0.5, 1.0, 2.0):
+                    gap = abs(quadrature_r(spec, 0, lag * tau)
+                              - eval_r(cov, 0, lag * tau))
+                    assert gap <= 1e-8 * max(1.0, r0), (spec.roots, lag, gap)
+
+    def test_lag_sweep(self):
+        # every order j <= 2k at lags from 1e-4 to 100: the contract
+        # allows NotConverged, but on these k <= 4 models the rule
+        # converges at every point, within QUAD_REL_TOL
+        rng = np.random.default_rng(31)
+        lags = np.logspace(-4.0, 2.0, 13)
+        points = 0
+        for _ in range(10):
+            spec = make_random_spec(rng, k_max=4)
+            cov = residue_expansion(spec)
+            bound = cov_mod.QUAD_REL_TOL * max(1.0, eval_r(cov, 0, 0.0))
+            for j in range(2 * spec.k + 1):
+                for t in lags:
+                    gap = abs(quadrature_r(spec, j, float(t))
+                              - eval_r(cov, j, float(t)))
+                    assert gap <= bound, (spec.roots, j, t, gap)
+                    points += 1
+        assert points > 500
+
+    def test_one_agreement_is_not_convergence(self, spec_k0, monkeypatch):
+        # two coarse sums can agree by accident, both near 0; the rule
+        # stops only after two halvings in a row within the tolerance,
+        # and reports no convergence after DE_HALVINGS halvings
+        def sums(*args):
+            yield from (0.0, 0.0, 3e-5, 5e-5, 5e-5, 5e-5)
+
+        monkeypatch.setattr(cov_mod, "_ooura_mori_sums", sums)
+        val, _, ok = cov_mod._quad_semi_infinite(spec_k0, 0, 1.0, 1e-9, 0.0)
+        assert ok and val == 1e-4
+
+        monkeypatch.setattr(cov_mod, "_ooura_mori_sums",
+                            lambda *args: itertools.count(0.0, 1.0))
+        val, err, ok = cov_mod._quad_semi_infinite(spec_k0, 0, 1.0, 1e-9, 0.0)
+        assert not ok and err == 2.0
+
+    @pytest.mark.parametrize("entropy, index, j, t, roots", [
+        # at h = 1/4 and 1/8 both sums come out near 0 and agree, so a
+        # rule that stops at the first agreement is off by 4.7e-5
+        (11, 28, 0, 30.0, [(-2.4254, 0.3381), (2.4254, 0.3381),
+                           (0.0, 2.2122), (0.0, 2.4530)]),
+        # a first step too coarse for the poles leaves every node of the
+        # first four sums where the oscillation has died out: four sums
+        # near 0, off by 9.0e-8, unless the first step resolves max |zeta|
+        (1, 10, 8, 100.0, [(-1.9726, 0.2199), (1.9726, 0.2199),
+                           (-0.8947, 1.5213), (0.8947, 1.5213),
+                           (0.0, 2.2157)]),
+    ])
+    def test_false_agreement_cases(self, entropy, index, j, t, roots):
+        rng = np.random.default_rng(entropy)
+        spec = [make_random_spec(rng, k_max=4) for _ in range(index + 1)][-1]
+        np.testing.assert_allclose(
+            [(z.real, z.imag) for z in spec.roots], roots, atol=1e-4
+        )
+        cov = residue_expansion(spec)
+        gap = abs(quadrature_r(spec, j, t) - eval_r(cov, j, t))
+        assert gap <= 1e-12 * max(1.0, eval_r(cov, 0, 0.0))
 
 
 def two_exponential_r(a_minus, a_plus, amp, u):

@@ -150,12 +150,40 @@ def test_deterministic():
 def test_shape_validation():
     rng = np.random.default_rng(4)
     step, noise_map, z0, shocks = _random_case(rng, 3, 2, 10)
-    with pytest.raises(ValueError):
-        ar1_recursion(step[:2], noise_map, z0, shocks)
-    with pytest.raises(ValueError):
-        ar1_recursion(step, noise_map[:, :1], z0, shocks)
-    with pytest.raises(ValueError):
-        ar1_recursion(step, noise_map, z0[:2], shocks)
+    bad = [
+        (step[:2], noise_map, z0, shocks),
+        (step, noise_map[:, :1], z0, shocks),
+        (step, noise_map, z0[:2], shocks),
+        (step, noise_map, z0, shocks[:, 0]),  # 1-d shocks
+        (step, noise_map[:, 0], z0, shocks),  # 1-d noise_map
+        (step[0], noise_map, z0, shocks),  # 1-d step
+        (step, noise_map, z0, shocks[:, :, None]),  # (10, 2, 1) shocks
+        (step, np.eye(3)[:, :1], z0, np.zeros((4, 2, 1))),  # q = 1 and 3-d
+    ]
+    for args in bad:
+        with pytest.raises(ValueError):
+            ar1_recursion(*args)
+    for out in (np.empty((3, 10)), np.empty((2, 11)), np.empty((3, 11, 1)),
+                np.empty((3, 11), dtype=np.float32), np.empty(33)):
+        with pytest.raises(ValueError, match="out"):
+            ar1_recursion(step, noise_map, z0, shocks, out=out)
+
+
+def test_out_writes_into_a_longer_path():
+    """Two calls into views of one array give the one-call path bytes,
+    when the split follows the scan's chunks."""
+    step, noise_map, z0 = _model_step(2, "exact", 50)
+    n = SCAN_BLOCK * SCAN_CHUNK_BLOCKS + 37
+    shocks = np.random.default_rng(11).standard_normal((n, 3))
+    whole = ar1_recursion(step, noise_map, z0, shocks)
+    path = np.empty_like(whole)
+    path[:, 0] = z0
+    cut = SCAN_BLOCK * SCAN_CHUNK_BLOCKS
+    for lo, hi in ((0, cut), (cut, n)):
+        view = path[:, lo:hi + 1]
+        assert ar1_recursion(step, noise_map, path[:, lo], shocks[lo:hi],
+                             out=view) is view
+    assert path.tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("step", [

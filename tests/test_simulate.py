@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,10 +29,13 @@ from carkov.errors import (
 from carkov.markov import StationaryLaw
 from carkov.model import abs_p_squared
 from carkov.simulate import (
+    SCAN_BLOCK,
+    SCAN_CHUNK_BLOCKS,
     SPECTRAL_MAP_SCALE,
     _generator,
     _psd_sqrt,
     _spectral_design,
+    ar1_recursion,
     euler_step_bound,
     exact_step_operator,
     write_csv,
@@ -133,6 +137,35 @@ class TestSampleExact:
         assert not np.array_equal(a.values, c.values)
         assert not np.array_equal(a.values, d.values)
 
+    def test_long_path_holds_one_chunk_of_shocks(self, spec_k2):
+        # a 1e6-step path draws its shocks a scan chunk at a time: the
+        # peak is the output plus one chunk's working set (its shocks,
+        # its states and one product, each a chunk of d doubles), not the
+        # output plus every shock
+        system, law = assemble(spec_k2)
+        sample_exact(system, law, 0.01, 10, seed=0)  # tables built untraced
+        tracemalloc.start()
+        try:
+            path = sample_exact(system, law, 0.01, 1_000_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk = SCAN_BLOCK * SCAN_CHUNK_BLOCKS * path.values.shape[0] * 8
+        assert peak <= path.values.nbytes + 4 * chunk, (
+            f"peak {(peak - path.values.nbytes) / chunk:.2f} chunks above the output")
+
+    def test_matches_drawing_every_shock_first(self, spec_k2):
+        # the chunked draws are the stream's order: the path is the one
+        # that one (n, d) draw and one recursion give, bit for bit
+        system, law = assemble(spec_k2)
+        n = 2 * SCAN_BLOCK * SCAN_CHUNK_BLOCKS + 21
+        path = sample_exact(system, law, 0.05, n, seed=8, stream=2)
+        phi, innovation = exact_step_operator(system, law, 0.05)
+        rng = _generator(8, "exact", 2)
+        z0 = _psd_sqrt(law.covariance) @ rng.standard_normal(3)
+        whole = ar1_recursion(phi, innovation, z0, rng.standard_normal((n, 3)))
+        assert path.values.tobytes() == whole.tobytes()
+
     def test_stationary_variance(self, spec_k2):
         system, law = assemble(spec_k2)
         path = sample_exact(system, law, 0.05, 200_000, seed=77)
@@ -153,6 +186,19 @@ class TestSampleEuler:
         with pytest.raises(UnstableStep) as err:
             sample_euler(system, law, 2.1, 10, seed=1)
         assert "stable below" in str(err.value)
+
+    def test_matches_drawing_every_shock_first(self, spec_k2):
+        system, law = assemble(spec_k2)
+        dt, n = 0.001, SCAN_BLOCK * SCAN_CHUNK_BLOCKS + 9
+        path = sample_euler(system, law, dt, n, seed=8)
+        rng = _generator(8, "euler")
+        z0 = _psd_sqrt(law.covariance) @ rng.standard_normal(3)
+        whole = ar1_recursion(
+            np.eye(3) + system.companion * dt,
+            (system.noise_vector * math.sqrt(dt)).reshape(3, 1),
+            z0, rng.standard_normal((n, 1)),
+        )
+        assert path.values.tobytes() == whole.tobytes()
 
     def test_recursion_reproduced_by_hand(self, spec_k1_repeated):
         system, law = assemble(spec_k1_repeated)

@@ -3,6 +3,8 @@ trip on the documented negative control."""
 
 import dataclasses
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,8 @@ from carkov.validate import (
     stack_paths,
 )
 from conftest import make_random_spec
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _perturbed(cov, eps=1e-3):
@@ -205,6 +209,39 @@ class TestEmpiricalCovariance:
         cov = residue_expansion(spec_k0)
         with pytest.raises(PathTooShort):
             check_empirical_covariance(path, cov)
+
+    def test_holds_one_path_length_buffer(self):
+        # each lag's products and their running sum share one buffer, and
+        # the block means are formed a slice at a time
+        spec = model.load_model(ROOT / "configs" / "k2.json")
+        system, law = assemble(spec)
+        cov = residue_expansion(spec)
+        tau = 1.0 / min(z.imag for z in spec.roots)
+        path = sample_exact(system, law, tau / 998, 999_999, seed=1)
+        row = path.values[0].nbytes
+        tracemalloc.start()
+        try:
+            rep = check_empirical_covariance(path, cov)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed, rep.detail
+        assert peak <= 1.25 * row, f"peak {peak / row:.2f} rows"
+
+    def test_standard_errors_match_the_direct_form(self, spec_k1_repeated):
+        # the statistic equals the one built from fresh products and
+        # block_standard_error, to rounding
+        system, law = assemble(spec_k1_repeated)
+        cov = residue_expansion(spec_k1_repeated)
+        path = sample_exact(system, law, 0.02, 60_000, seed=3)
+        rep = check_empirical_covariance(path, cov)
+        y, worst = path.values[0], 0.0
+        for lag in (0.0, 0.5, 1.0, 2.0):
+            idx = int(round(lag / 0.02))
+            prods = y[: y.size - idx] * y[idx:]
+            se = block_standard_error(prods, int(round(10.0 / 0.02)))
+            worst = max(worst, abs(prods.mean() - eval_r(cov, 0, lag)) / se)
+        assert rep.statistic == pytest.approx(worst, rel=1e-13)
 
     def test_off_grid_lag(self, spec_k0):
         system, law = assemble(spec_k0)
