@@ -26,6 +26,7 @@ quantities directly from the spectral integral for cross-checking.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -421,6 +422,11 @@ DE_FIRST_STEP = 0.5
 #: halvings of the step tried before NotConverged is raised
 DE_HALVINGS = 10
 
+#: most nodes in one Ooura-Mori sum, where the rule stops unconverged:
+#: the first step takes about 9.5 |t| max|zeta| nodes, and each halving
+#: doubles them
+DE_MAX_NODES = 2**17
+
 #: the exp-sinh rule's range |s| <= 4.5, x from e^-71 to e^71
 _EXP_SINH_SPAN = 4.5
 
@@ -487,7 +493,9 @@ def _ooura_mori_sums(f, omega: float, parity: int, x_scale: float):
     M / omega at least 2 x_scale, so that the nodes resolve f around
     x_scale (the largest root magnitude) before any two sums are
     compared: from a coarser step every node can sit where the
-    oscillation has died out, and two such sums agree near 0.
+    oscillation has died out, and two such sums agree near 0. The
+    sequence ends before a sum that would take more than DE_MAX_NODES
+    nodes.
     """
     h = min(DE_FIRST_STEP, math.pi / (2.0 * omega * x_scale))
     shift = 0.5 * (1 - parity)
@@ -495,8 +503,11 @@ def _ooura_mori_sums(f, omega: float, parity: int, x_scale: float):
     while True:
         m = math.pi / h
         alpha = beta / math.sqrt(1.0 + m * math.log1p(m) / (4.0 * math.pi))
-        n = np.arange(math.floor(-_OSC_LEFT / h + shift),
-                      math.ceil(_OSC_RIGHT / h + shift) + 1)
+        first = math.floor(-_OSC_LEFT / h + shift)
+        last = math.ceil(_OSC_RIGHT / h + shift)
+        if last - first + 1 > DE_MAX_NODES:
+            return
+        n = np.arange(first, last + 1)
         t = (n - shift) * h
         u = -2.0 * t - alpha * (1.0 - np.exp(-t)) - beta * np.expm1(t)
         du = -2.0 - alpha * np.exp(-t) - beta * np.exp(t)
@@ -528,9 +539,9 @@ def _quad_semi_infinite(spec: RootSpec, j: int, t: float, epsabs: float,
 
     trig is 1 at t = 0 (the exp-sinh rule), otherwise cos for even j and
     sin for odd j (the Ooura-Mori rule). The step is halved up to
-    DE_HALVINGS times; the value is converged once two halvings in a row
-    each change it by at most max(epsabs, epsrel |value|), and the error
-    is the last change.
+    DE_HALVINGS times, while the sums stay within DE_MAX_NODES; the
+    value is converged once two halvings in a row each change it by at
+    most max(epsabs, epsrel |value|), and the error is the last change.
     """
     def f(x):
         return _density(spec, j, x)
@@ -540,9 +551,9 @@ def _quad_semi_infinite(spec: RootSpec, j: int, t: float, epsabs: float,
     else:
         x_scale = max(abs(z) for z in spec.roots)
         sums = _ooura_mori_sums(f, abs(float(t)), j % 2, x_scale)
-    val, agreed, err = 2.0 * next(sums), 0, math.inf
-    for _ in range(DE_HALVINGS):
-        prev, val = val, 2.0 * next(sums)
+    val, agreed, err = 2.0 * next(sums, math.nan), 0, math.inf
+    for total in itertools.islice(sums, DE_HALVINGS):
+        prev, val = val, 2.0 * total
         if not math.isfinite(val):
             return val, err, False
         err = abs(val - prev)
@@ -587,8 +598,10 @@ def quadrature_r(spec: RootSpec, j: int, t: float) -> float:
         If j > 2k (the integral no longer converges absolutely).
     NotConverged
         If the rule does not meet its stopping tolerance within
-        DE_HALVINGS halvings, which leaves QUAD_REL_TOL relative to
-        max(1, r(0)) uncertified.
+        DE_HALVINGS halvings and DE_MAX_NODES nodes per sum, which
+        leaves QUAD_REL_TOL relative to max(1, r(0)) uncertified. The
+        node budget makes every lag |t| beyond DE_MAX_NODES / (9.5
+        max|zeta|) raise.
     """
     k = spec.k
     if j > 2 * k:
@@ -612,7 +625,8 @@ def quadrature_r(spec: RootSpec, j: int, t: float) -> float:
         raise NotConverged(
             f"the double-exponential rule could not reach epsabs "
             f"{epsabs:.2e} for j = {j}, t = {t} in {DE_HALVINGS} step "
-            f"halvings (last change {err:.2e})"
+            f"halvings of at most {DE_MAX_NODES} nodes (last change "
+            f"{err:.2e})"
         )
     out = sign * val
     if t < 0 and j % 2 == 1:

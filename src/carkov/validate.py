@@ -48,11 +48,13 @@ CLOSED_FORM_TOL = 1e-8
 #: band width for statistical checks, in standard errors
 STAT_BAND = 4.0
 
-#: block length for autocovariance standard errors, in correlation times
+#: block length, in correlation times, that the empirical covariance
+#: check needs 100 of at every lag
 BLOCK_CORR_TIMES = 10.0
 
-#: block means formed at a time by the standard error
-_SE_SLICE = 65536
+#: reach of the exact product-mean variance sum past the product lag, in
+#: correlation times; the terms it leaves out are about e^-40 relative
+ISSERLIS_CORR_TIMES = 20.0
 
 #: probe gaps of the replicate ensemble, in correlation times
 PROBE_GAPS = (0.25, 0.5, 0.75, 1.0)
@@ -337,40 +339,36 @@ def _char_poly_error(spec: RootSpec) -> np.ndarray:
 
 def block_standard_error(x: np.ndarray, block_len: int) -> float:
     """Standard error of the mean of x from overlapping block means."""
-    return _cumsum_standard_error(np.concatenate([[0.0], np.cumsum(x)]),
-                                  block_len)
-
-
-def _cumsum_standard_error(c: np.ndarray, block_len: int) -> float:
-    """block_standard_error of x, given c = [0, cumsum(x)].
-
-    The overlapping block means (c[i + L] - c[i]) / L are formed a slice
-    of _SE_SLICE at a time, once for their mean and once for their
-    variance, so no temporary grows with the path.
-    """
-    m = c.size - 1
+    m = x.size
     block_len = max(1, min(int(block_len), m))
-    count = m - block_len + 1
-    if count < 2:
+    if m - block_len + 1 < 2:
         raise PathTooShort(
             f"{m} samples cannot support blocks of length {block_len}"
         )
-    starts = range(0, count, _SE_SLICE)
-
-    def means(i):
-        stop = min(i + _SE_SLICE, count)
-        out = c[i + block_len:stop + block_len] - c[i:stop]
-        out /= block_len
-        return out
-
-    mean = sum(float(means(i).sum()) for i in starts) / count
-    square_sum = 0.0
-    for i in starts:
-        dev = means(i)
-        dev -= mean
-        square_sum += float(dev @ dev)
-    var_mean = square_sum / (count - 1) * block_len / m
+    c = np.concatenate([[0.0], np.cumsum(x)])
+    means = (c[block_len:] - c[:-block_len]) / block_len
+    var_mean = means.var(ddof=1) * block_len / m
     return float(math.sqrt(var_mean))
+
+
+def product_standard_error(cov: CovarianceModel, dt: float, idx: int,
+                           m: int) -> float:
+    """Exact standard error of the mean of m products y_i y_{i+idx}.
+
+    For a stationary Gaussian Y sampled every dt with covariance r,
+    Isserlis' theorem gives the variance of that mean as
+    sum_{|s|<m} (m - |s|)/m^2 [r(s)^2 + r(s + idx) r(s - idx)], lags in
+    steps. Past |s| = idx every term falls like e^{-2 |s| dt / tau}, so
+    the sum stops ISSERLIS_CORR_TIMES correlation times later.
+    """
+    tau = _correlation_time(cov)
+    s_max = min(m - 1, idx + math.ceil(ISSERLIS_CORR_TIMES * tau / dt))
+    r = eval_r(cov, 0, dt * np.arange(s_max + idx + 1))
+    s = np.arange(s_max + 1)
+    terms = r[:s_max + 1] ** 2 + r[idx:] * r[np.abs(s - idx)]
+    weights = (m - s) / m**2
+    weights[1:] *= 2.0
+    return float(math.sqrt(max(float(weights @ terms), 0.0)))
 
 
 def check_empirical_covariance(
@@ -379,9 +377,10 @@ def check_empirical_covariance(
     """Empirical autocovariance of Y against the closed form.
 
     lags are in time units and must sit on the path grid. The standard
-    error of each lagged product mean comes from overlapping blocks of
-    ten correlation times. One buffer the length of the path holds each
-    lag's products and then, in place, their running sum.
+    error of each lagged product mean is the exact one of the model
+    (product_standard_error), reported in the detail. The path must
+    still fill 100 blocks of ten correlation times at every lag, so the
+    mean is close to normal. One lag's products are held at a time.
     """
     tau = _correlation_time(cov)
     if lags is None:
@@ -393,8 +392,6 @@ def check_empirical_covariance(
     block_len = int(round(BLOCK_CORR_TIMES * tau / dt))
     details = []
     worst = 0.0
-    buf = np.empty(n + 1)
-    buf[0] = 0.0
     for lag in lags:
         idx = int(round(lag / dt))
         if abs(idx * dt - lag) > 1e-9 * max(dt, lag):
@@ -405,16 +402,13 @@ def check_empirical_covariance(
                 f"lag {lag}: {max(m, 0)} products cannot fill 100 blocks "
                 f"of {block_len} samples"
             )
-        prods = buf[1:m + 1]
-        np.multiply(y[:m], y[idx:], out=prods)
-        rhat = float(prods.mean())
-        np.cumsum(prods, out=prods)
-        se = _cumsum_standard_error(buf[:m + 1], block_len)
+        rhat = float((y[:m] * y[idx:]).mean())
+        se = product_standard_error(cov, dt, idx, m)
         target = eval_r(cov, 0, float(lag))
         z = abs(rhat - target) / se if se > 0 else np.inf
         worst = max(worst, z)
         details.append(f"lag {lag:.4g}: rhat = {rhat:.6g}, r = {target:.6g}, "
-                       f"|z| = {z:.2f}")
+                       f"se = {se:.3g}, |z| = {z:.2f}")
     return _report(
         "empirical_covariance",
         worst,

@@ -9,6 +9,7 @@ integrated by hand:
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,6 +323,20 @@ class TestQuadratureOracle:
                     assert gap <= bound, (spec.roots, j, t, gap)
                     points += 1
         assert points > 500
+
+    def test_node_budget_bounds_large_lags(self, spec_k2):
+        # the first Ooura-Mori step takes about 9.5 |t| max|zeta| nodes;
+        # past DE_MAX_NODES the rule stops unconverged instead of growing
+        # its grid with the lag
+        for t in (1e4, 1e7):
+            tracemalloc.start()
+            try:
+                with pytest.raises(NotConverged, match="nodes"):
+                    quadrature_r(spec_k2, 0, t)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * 8 * cov_mod.DE_MAX_NODES
 
     def test_one_agreement_is_not_convergence(self, spec_k0, monkeypatch):
         # two coarse sums can agree by accident, both near 0; the rule

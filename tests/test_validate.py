@@ -31,6 +31,7 @@ from carkov.validate import (
     check_markov_factorization,
     check_ode_annihilation,
     check_partial_correlation,
+    product_standard_error,
     run_suite,
     stack_paths,
 )
@@ -210,9 +211,9 @@ class TestEmpiricalCovariance:
         with pytest.raises(PathTooShort):
             check_empirical_covariance(path, cov)
 
-    def test_holds_one_path_length_buffer(self):
-        # each lag's products and their running sum share one buffer, and
-        # the block means are formed a slice at a time
+    def test_holds_one_row_of_products(self):
+        # one lag's products at a time, and a standard error that sums
+        # only the lags the covariance reaches
         spec = model.load_model(ROOT / "configs" / "k2.json")
         system, law = assemble(spec)
         cov = residue_expansion(spec)
@@ -228,9 +229,21 @@ class TestEmpiricalCovariance:
         assert rep.passed, rep.detail
         assert peak <= 1.25 * row, f"peak {peak / row:.2f} rows"
 
-    def test_standard_errors_match_the_direct_form(self, spec_k1_repeated):
-        # the statistic equals the one built from fresh products and
-        # block_standard_error, to rounding
+    @pytest.mark.parametrize("dt, m", [(0.1, 400), (0.02, 60_000)])
+    def test_standard_error_is_the_isserlis_sum(self, spec_k2, dt, m):
+        # the full double sum over every pair of products, against the
+        # sum cut ISSERLIS_CORR_TIMES correlation times past the lag
+        cov = residue_expansion(spec_k2)
+        for idx in (0, 3, 25):
+            r = eval_r(cov, 0, dt * np.arange(m + idx + 1))
+            s = np.arange(-(m - 1), m)
+            var = ((m - np.abs(s)) / m**2
+                   * (r[np.abs(s)] ** 2 + r[np.abs(s + idx)] * r[np.abs(s - idx)])
+                   ).sum()
+            assert product_standard_error(cov, dt, idx, m) == pytest.approx(
+                math.sqrt(var), rel=1e-12)
+
+    def test_statistic_uses_the_exact_standard_error(self, spec_k1_repeated):
         system, law = assemble(spec_k1_repeated)
         cov = residue_expansion(spec_k1_repeated)
         path = sample_exact(system, law, 0.02, 60_000, seed=3)
@@ -239,9 +252,47 @@ class TestEmpiricalCovariance:
         for lag in (0.0, 0.5, 1.0, 2.0):
             idx = int(round(lag / 0.02))
             prods = y[: y.size - idx] * y[idx:]
-            se = block_standard_error(prods, int(round(10.0 / 0.02)))
+            se = product_standard_error(cov, 0.02, idx, prods.size)
+            assert f"se = {se:.3g}," in rep.detail
             worst = max(worst, abs(prods.mean() - eval_r(cov, 0, lag)) / se)
         assert rep.statistic == pytest.approx(worst, rel=1e-13)
+
+    def test_z_scores_have_unit_spread(self, spec_k1_repeated):
+        # over independent paths the standardised errors have mean square
+        # about 1; the block estimate ran 0.66-0.74 of the exact standard
+        # error on some k = 3 models, which inflated every |z|
+        system, law = assemble(spec_k1_repeated)
+        cov = residue_expansion(spec_k1_repeated)
+        dt, n, idx = 0.1, 12_000, 10
+        z = []
+        for stream in range(200):
+            y = sample_exact(system, law, dt, n, seed=5, stream=stream).values[0]
+            m = y.size - idx
+            rhat = float((y[:m] * y[idx:]).mean())
+            z.append((rhat - eval_r(cov, 0, idx * dt))
+                     / product_standard_error(cov, dt, idx, m))
+        assert np.mean(np.square(z)) == pytest.approx(1.0, abs=0.3)
+        assert abs(np.mean(z)) < 0.3
+
+    @pytest.mark.parametrize("roots, scale", [
+        # perfbench low_k seed 68, fast-population models 3, 8 and 13:
+        # the block standard error gave |z| = 4.25-4.43 on their suite
+        # paths, the exact one 2.89-2.92
+        ([1.0703715340530886, 1.7237096356559702, 2.297376238672483,
+          2.849029239280583], 0.504003077420029),
+        ([0.7731364524058508, 1.6257684076161736, 2.315182726108956,
+          2.42972397303559], 1.279359526230709),
+        ([1.1385994200344054, 1.8977229685181174, 2.1903479324920516,
+          2.344388388340365], 1.6102848707964488),
+    ])
+    def test_suite_paths_that_blocks_failed(self, roots, scale):
+        spec = model.validate([1j * b for b in roots], scale)
+        system, law = assemble(spec)
+        cov = residue_expansion(spec)
+        dt = 1.0 / min(roots) / 50
+        path = sample_exact(system, law, dt, 60_000, seed=68, stream=0)
+        rep = check_empirical_covariance(path, cov)
+        assert rep.passed and rep.statistic < 3.0, rep.detail
 
     def test_off_grid_lag(self, spec_k0):
         system, law = assemble(spec_k0)
