@@ -52,7 +52,7 @@ STAT_BAND = 4.0
 #: check needs 100 of at every lag
 BLOCK_CORR_TIMES = 10.0
 
-#: reach of the exact product-mean variance sum past the product lag, in
+#: reach of the exact product-mean moment sums past the product lag, in
 #: correlation times; the terms it leaves out are about e^-40 relative
 ISSERLIS_CORR_TIMES = 20.0
 
@@ -351,24 +351,64 @@ def block_standard_error(x: np.ndarray, block_len: int) -> float:
     return float(math.sqrt(var_mean))
 
 
-def product_standard_error(cov: CovarianceModel, dt: float, idx: int,
-                           m: int) -> float:
-    """Exact standard error of the mean of m products y_i y_{i+idx}.
+def product_mean_law(cov: CovarianceModel, dt: float, idx: int,
+                     m: int) -> tuple[float, float]:
+    """(standard error, skewness) of the mean of m products y_i y_{i+idx}.
 
-    For a stationary Gaussian Y sampled every dt with covariance r,
-    Isserlis' theorem gives the variance of that mean as
-    sum_{|s|<m} (m - |s|)/m^2 [r(s)^2 + r(s + idx) r(s - idx)], lags in
-    steps. Past |s| = idx every term falls like e^{-2 |s| dt / tau}, so
-    the sum stops ISSERLIS_CORR_TIMES correlation times later.
+    Y is stationary Gaussian, sampled every dt, with covariance r; lags
+    are in steps. By Isserlis' theorem the variance of the mean is
+    sum_{|s|<m} (m - |s|)/m^2 [r(s)^2 + r(s + idx) r(s - idx)], and its
+    third cumulant is, up to O(lag reach / m), [6 F(idx) + 2 F(3 idx)] /
+    m^2 with F(d) = sum_{u,v} r(u) r(v) r(u + v + d), the eight cyclic
+    pairings of three products; F comes from one FFT autoconvolution of
+    r. Past |s| = idx every term falls like e^{-2 |s| dt / tau}, so the
+    sums stop ISSERLIS_CORR_TIMES correlation times later.
     """
     tau = _correlation_time(cov)
     s_max = min(m - 1, idx + math.ceil(ISSERLIS_CORR_TIMES * tau / dt))
-    r = eval_r(cov, 0, dt * np.arange(s_max + idx + 1))
+    reach = s_max + idx
+    r = eval_r(cov, 0, dt * np.arange(reach + 1))
     s = np.arange(s_max + 1)
     terms = r[:s_max + 1] ** 2 + r[idx:] * r[np.abs(s - idx)]
     weights = (m - s) / m**2
     weights[1:] *= 2.0
-    return float(math.sqrt(max(float(weights @ terms), 0.0)))
+    se = math.sqrt(max(float(weights @ terms), 0.0))
+    if se == 0.0:
+        return 0.0, 0.0
+
+    two_sided = np.concatenate([r[:0:-1], r])  # r(u), u = -reach..reach
+    n = 1 << (4 * reach + 1).bit_length()
+    spectrum = np.fft.rfft(two_sided, n)
+    # conv[j] = sum_v r(v) r(j - 2 reach - v), the lag j - 2 reach
+    conv = np.fft.irfft(spectrum * spectrum, n)
+
+    def f(d):
+        top = min(reach, 2 * reach - d)  # u + d stays within the lags of conv
+        if top < -reach:
+            return 0.0
+        return float(two_sided[:top + reach + 1]
+                     @ conv[reach + d:top + d + 2 * reach + 1])
+
+    kappa3 = (6.0 * f(idx) + 2.0 * f(3 * idx)) / m**2
+    return se, kappa3 / se**3
+
+
+def normal_score(x: float, skew: float) -> float:
+    """Normal score of a standardised statistic x whose law has the given
+    skewness.
+
+    The law is matched by a standardised gamma law of that skewness and
+    mapped to the normal by the Wilson-Hilferty cube root. To first order
+    in the skewness this is the Cornish-Fisher correction
+    x - skew (x^2 - 1) / 6, but it increases with x everywhere, so no
+    large error maps back into the band.
+    """
+    if abs(skew) < 1e-6:
+        return x
+    sign = 1.0 if skew > 0 else -1.0
+    g = abs(skew)
+    root = float(np.cbrt(1.0 + 0.5 * g * sign * x))
+    return sign * (6.0 / g * (root - 1.0) + g / 6.0)
 
 
 def check_empirical_covariance(
@@ -376,11 +416,13 @@ def check_empirical_covariance(
 ) -> CheckReport:
     """Empirical autocovariance of Y against the closed form.
 
-    lags are in time units and must sit on the path grid. The standard
-    error of each lagged product mean is the exact one of the model
-    (product_standard_error), reported in the detail. The path must
-    still fill 100 blocks of ten correlation times at every lag, so the
-    mean is close to normal. One lag's products are held at a time.
+    lags are in time units and must sit on the path grid. Each lagged
+    product mean is standardised by the model's exact standard error and
+    mapped to a normal score through its exact skewness
+    (product_mean_law, normal_score); both are reported in the detail.
+    The path must still fill 100 blocks of ten correlation times at
+    every lag, so the mean is close to its normal approximation. One
+    lag's products are held at a time.
     """
     tau = _correlation_time(cov)
     if lags is None:
@@ -403,12 +445,12 @@ def check_empirical_covariance(
                 f"of {block_len} samples"
             )
         rhat = float((y[:m] * y[idx:]).mean())
-        se = product_standard_error(cov, dt, idx, m)
+        se, skew = product_mean_law(cov, dt, idx, m)
         target = eval_r(cov, 0, float(lag))
-        z = abs(rhat - target) / se if se > 0 else np.inf
+        z = abs(normal_score((rhat - target) / se, skew)) if se > 0 else np.inf
         worst = max(worst, z)
         details.append(f"lag {lag:.4g}: rhat = {rhat:.6g}, r = {target:.6g}, "
-                       f"se = {se:.3g}, |z| = {z:.2f}")
+                       f"se = {se:.3g}, skew = {skew:.3g}, |z| = {z:.2f}")
     return _report(
         "empirical_covariance",
         worst,
