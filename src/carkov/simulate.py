@@ -89,8 +89,16 @@ def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
 #: shock per step and with d)
 SCAN_BLOCK = 16
 
-#: blocks per chunk: the scan's temporaries hold one chunk, not the path
-SCAN_CHUNK_BLOCKS = 4096
+#: blocks per chunk: the carries of one chunk are scanned together, and
+#: the samplers draw one chunk of shocks at a time. 2048 keeps a
+#: 20,000-step path (1,250 blocks) in one chunk; at 1,024 blocks such
+#: paths ran 3 to 10 % slower (d = 3 and d = 9, 2-core Xeon)
+SCAN_CHUNK_BLOCKS = 2048
+
+#: blocks per row slice of the state products: a chunk's states are
+#: formed and written one slice at a time, so the scan's temporaries do
+#: not grow with the chunk
+SCAN_SLICE_BLOCKS = 512
 
 
 @lru_cache(maxsize=8)
@@ -149,18 +157,23 @@ def _scan_chunk(shock_rows, carry, toeplitz_t, powers_t, out):
     shock_rows holds one block's w shock rows per row, carry is the state
     before the first block, and toeplitz_t and powers_t are the tables of
     _scan_tables cut to w steps. Writes the (d, blocks * w) states into
-    out and returns a copy of the last one; the temporaries are freed on
-    return, so only one chunk's are alive at a time.
+    out and returns a copy of the last one. Only the blocks' local ends
+    (the last d columns of the Toeplitz product) are formed for the whole
+    chunk; the states are formed SCAN_SLICE_BLOCKS blocks at a time,
+    local part plus carried part, and written straight into out.
     """
     d = carry.shape[0]
-    states = shock_rows @ toeplitz_t
-    starts = np.empty((len(states), d))
+    width = toeplitz_t.shape[1] // d
+    starts = np.empty((len(shock_rows), d))
     starts[0] = carry
-    starts[1:] = states[:-1, -d:]
+    starts[1:] = shock_rows[:-1] @ toeplitz_t[:, -d:]
     _doubling_scan(starts, powers_t[:, -d:])
-    states += starts @ powers_t
-    out[...] = states.reshape(-1, d).T
-    return states[-1, -d:].copy()
+    for lo in range(0, len(shock_rows), SCAN_SLICE_BLOCKS):
+        hi = min(lo + SCAN_SLICE_BLOCKS, len(shock_rows))
+        states = shock_rows[lo:hi] @ toeplitz_t
+        states += starts[lo:hi] @ powers_t
+        out[:, lo * width:hi * width] = states.reshape(-1, d).T
+    return out[:, -1].copy()
 
 
 def ar1_recursion(step, noise_map, z0, shocks, out=None):
@@ -207,9 +220,13 @@ def ar1_recursion(step, noise_map, z0, shocks, out=None):
     to stay accurate over long paths, hence the radius condition.
 
     The path is walked in chunks of SCAN_CHUNK_BLOCKS blocks, carrying
-    the last state from one to the next, so the temporaries stay at one
-    chunk's size. The tables and the radius check depend only on step
-    and noise_map and are built once per pair (see _scan_tables).
+    the last state from one to the next. Within a chunk only the local
+    ends, one state per block, are formed at once; the states themselves
+    are formed and written into out SCAN_SLICE_BLOCKS blocks at a time
+    (_scan_chunk). So the temporaries stay below one chunk of states
+    whatever the path length. The tables and the radius check depend
+    only on step and noise_map and are built once per pair (see
+    _scan_tables).
     """
     step = np.asarray(step, dtype=float)
     noise_map = np.asarray(noise_map, dtype=float)
@@ -254,15 +271,17 @@ def _draw_path(step, noise_map, z0, n_steps, rng):
     The chunks are the scan's own (SCAN_CHUNK_BLOCKS blocks of SCAN_BLOCK
     steps) and the draws come in the stream's order, so the path is the
     one that drawing every shock first would give, bit for bit, while
-    only one chunk's shocks are held at a time.
+    only one chunk's shocks are held at a time: each chunk is drawn into
+    the one buffer.
     """
     out = np.empty((step.shape[0], n_steps + 1))
     out[:, 0] = z0
     chunk = SCAN_BLOCK * SCAN_CHUNK_BLOCKS
+    shocks = np.empty((min(chunk, n_steps), noise_map.shape[1]))
     for pos in range(0, n_steps, chunk):
         span = min(chunk, n_steps - pos)
-        shocks = rng.standard_normal((span, noise_map.shape[1]))
-        ar1_recursion(step, noise_map, out[:, pos], shocks,
+        rng.standard_normal(out=shocks[:span])
+        ar1_recursion(step, noise_map, out[:, pos], shocks[:span],
                       out=out[:, pos:pos + span + 1])
     return out
 
@@ -445,14 +464,18 @@ SPECTRAL_MAP_SCALE = 4.0
 #: closed form (-1)^j r^(2j)(0)
 SPECTRAL_RESOLUTION_TOL = 1e-3
 
+#: times and panels per block of the spectral sum: cos and sin of the
+#: phases are formed one (times, panels) block at a time
+SPECTRAL_BLOCK = 256
+
 
 def _spectral_design(spec, times, n_panels):
     """Mapped midpoint grid of the spectral integral at the requested times.
 
-    Returns (cos_theta, sin_theta, weights): cos and sin of
-    theta = outer(times, z) over the panel frequencies z, and weights[j] =
-    amp * z^j, the panel amplitude of Y^(j). _spectral_rows turns these
-    and the two white-noise vectors into the rows Y^(j).
+    Returns (times, z, weights): the times as a float array, the panel
+    frequencies z, and weights[j] = amp * z^j, the panel amplitude of
+    Y^(j). _spectral_rows turns these and the two white-noise vectors
+    into the rows Y^(j).
 
     The frequencies are z_p = s tan(pi (u_p - 1/2)) at the midpoints
     u_p = (p + 1/2) / n_panels of [0, 1] (Boyd 1987, J. Comput. Phys.
@@ -489,29 +512,67 @@ def _spectral_design(spec, times, n_panels):
                 f"Var Y^({j}) = {var:.6g} against {target:.6g}; the roots "
                 "span too many decades for the grid, increase n_panels"
             )
-    theta = np.outer(times, z)
-    return np.cos(theta), np.sin(theta), weights
+    return times, z, weights
+
+
+def _gemm(a, b):
+    """a @ b for 2-d operands, with sums that do not depend on the BLAS
+    thread count.
+
+    A BLAS gemm splits its output between threads, never a sum. numpy
+    hands a product with one row or one column to gemv instead, whose
+    sums can split (a (251, 4096) product gave different bits with one
+    and two OpenBLAS threads), so those take einsum's own loop.
+    """
+    if a.shape[0] == 1 or b.shape[1] == 1:
+        return np.einsum("ij,jk->ik", a, b)
+    return a @ b
 
 
 def _spectral_rows(design, xi_cos, xi_sin):
     """Rows Y^(j) = sum over panels of w_j (cos(theta + j pi/2) xi_cos +
-    sin(theta + j pi/2) xi_sin).
+    sin(theta + j pi/2) xi_sin), with theta = outer(times, z).
 
     Since cos/sin(theta + j pi/2) are cos/sin(theta) up to sign and swap,
     row j is cos(theta) @ (w_j a_j) + sin(theta) @ (w_j b_j) with
     (a_j, b_j) = (xi_cos, xi_sin) turned j quarter turns, (a, b) ->
-    (b, -a). xi_cos and xi_sin are (n_panels,) for one draw or
-    (n_panels, m) for m draws; the result is (k+1, T) or (k+1, T, m).
+    (b, -a). xi_cos and xi_sin are (n_panels,) for one draw, with result
+    (k+1, T), or (m, n_panels) for m draws, with result (k+1, m, T).
+
+    The sum runs over blocks of SPECTRAL_BLOCK panels, in order. For each
+    block the turned weights of every row and draw form one
+    ((k+1) m, 2 b) matrix; for each SPECTRAL_BLOCK times, [cos | sin] of
+    theta is formed in one buffer, theta in place of its sines, and
+    multiplied by it in one gemm (_gemm), which adds the block to those
+    times' rows. So the temporaries are one block and the per-panel grid
+    whatever the number of times, and the rows do not depend on the BLAS
+    thread count.
     """
-    cos_theta, sin_theta, weights = design
-    if xi_cos.ndim == 2:
-        weights = weights[:, :, None]
-    a, b = xi_cos, xi_sin
-    rows = []
-    for w in weights:
-        rows.append(cos_theta @ (w * a) + sin_theta @ (w * b))
-        a, b = b, -a
-    return np.stack(rows)
+    times, z, weights = design
+    single = xi_cos.ndim == 1
+    xi_cos, xi_sin = np.atleast_2d(xi_cos), np.atleast_2d(xi_sin)
+    k1, m, size = len(weights), len(xi_cos), times.size
+    rows = np.zeros((k1, m, size))
+    flat = rows.reshape(k1 * m, size)
+    span = min(SPECTRAL_BLOCK, size)
+    trig = np.empty((span, 2 * SPECTRAL_BLOCK))
+    for p in range(0, z.size, SPECTRAL_BLOCK):
+        nb = min(SPECTRAL_BLOCK, z.size - p)
+        turned = np.empty((k1, m, 2 * nb))
+        a, b = xi_cos[:, p:p + nb], xi_sin[:, p:p + nb]
+        for j in range(k1):
+            np.multiply(a, weights[j, p:p + nb], out=turned[j, :, :nb])
+            np.multiply(b, weights[j, p:p + nb], out=turned[j, :, nb:])
+            a, b = b, -a
+        turned = turned.reshape(k1 * m, 2 * nb)
+        for t in range(0, size, span):
+            nt = min(span, size - t)
+            cos, sin = trig[:nt, :nb], trig[:nt, nb:2 * nb]
+            np.multiply(times[t:t + nt, None], z[p:p + nb], out=sin)
+            np.cos(sin, out=cos)
+            np.sin(sin, out=sin)
+            flat[:, t:t + nt] += _gemm(turned, trig[:nt, :2 * nb].T)
+    return rows[:, 0] if single else rows
 
 
 def sample_spectral(
@@ -536,6 +597,9 @@ def sample_spectral(
     model the tests draw (about 3e-3 r(0) at k = 0, whose density decays
     slowest).
 
+    The rows are summed over blocks of SPECTRAL_BLOCK times and panels
+    (_spectral_rows), so besides its output the sampler holds one such
+    block and the per-panel grid, however many times it is asked for.
     The time grid must be uniform; the stored dt is its spacing (1.0 for
     a single time).
     """
@@ -562,7 +626,8 @@ def spectral_replicates(
     Returns an array of shape (n_replicates, k+1, len(times)). Replicate
     r consumes the same substream as sample_spectral(..., stream=r) and
     matches its values up to floating-point associativity in the matrix
-    products.
+    products. The draws go through the same blocked sum as
+    sample_spectral, chunk replicates at a time.
     """
     times = np.asarray(times, dtype=float)
     design = _spectral_design(spec, times, n_panels)
@@ -570,13 +635,13 @@ def spectral_replicates(
     for start in range(0, n_replicates, chunk):
         stop = min(start + chunk, n_replicates)
         width = stop - start
-        xi_cos = np.empty((n_panels, width))
-        xi_sin = np.empty((n_panels, width))
+        xi_cos = np.empty((width, n_panels))
+        xi_sin = np.empty((width, n_panels))
         for c in range(width):
             rng = _generator(seed, "spectral", start + c)
-            xi_cos[:, c] = rng.standard_normal(n_panels)
-            xi_sin[:, c] = rng.standard_normal(n_panels)
-        out[start:stop] = _spectral_rows(design, xi_cos, xi_sin).transpose(2, 0, 1)
+            xi_cos[c] = rng.standard_normal(n_panels)
+            xi_sin[c] = rng.standard_normal(n_panels)
+        out[start:stop] = _spectral_rows(design, xi_cos, xi_sin).transpose(1, 0, 2)
     return out
 
 

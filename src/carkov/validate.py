@@ -56,6 +56,10 @@ BLOCK_CORR_TIMES = 10.0
 #: correlation times; the terms it leaves out are about e^-40 relative
 ISSERLIS_CORR_TIMES = 20.0
 
+#: elements per slice of the product sums and lag grids: the checks'
+#: temporaries stay at one slice whatever the path length
+SUM_SLICE = 1 << 14
+
 #: probe gaps of the replicate ensemble, in correlation times
 PROBE_GAPS = (0.25, 0.5, 0.75, 1.0)
 
@@ -351,6 +355,34 @@ def block_standard_error(x: np.ndarray, block_len: int) -> float:
     return float(math.sqrt(var_mean))
 
 
+def _sliced_dot(a, b) -> float:
+    """sum(a * b) over SUM_SLICE-element slices, added in order.
+
+    The temporary is one slice, and the sum does not depend on the BLAS
+    thread count, as a BLAS dot product's does in its last digits on
+    vectors of 1e6 elements.
+    """
+    total = 0.0
+    for lo in range(0, a.size, SUM_SLICE):
+        total += float((a[lo:lo + SUM_SLICE] * b[lo:lo + SUM_SLICE]).sum())
+    return total
+
+
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: a length that pocketfft transforms
+    about as fast as a power of two, and up to half as long as the next
+    one, which halves the FFT's buffers."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def product_mean_law(cov: CovarianceModel, dt: float, idx: int,
                      m: int) -> tuple[float, float]:
     """(standard error, skewness) of the mean of m products y_i y_{i+idx}.
@@ -363,31 +395,45 @@ def product_mean_law(cov: CovarianceModel, dt: float, idx: int,
     pairings of three products; F comes from one FFT autoconvolution of
     r. Past |s| = idx every term falls like e^{-2 |s| dt / tau}, so the
     sums stop ISSERLIS_CORR_TIMES correlation times later.
+
+    r and the variance terms are formed SUM_SLICE lags at a time, the
+    spectrum is squared in place and every sum is added in a fixed order
+    (_sliced_dot), so the temporaries besides r and the FFT stay at one
+    slice and the result does not depend on the BLAS thread count.
     """
     tau = _correlation_time(cov)
     s_max = min(m - 1, idx + math.ceil(ISSERLIS_CORR_TIMES * tau / dt))
     reach = s_max + idx
-    r = eval_r(cov, 0, dt * np.arange(reach + 1))
-    s = np.arange(s_max + 1)
-    terms = r[:s_max + 1] ** 2 + r[idx:] * r[np.abs(s - idx)]
-    weights = (m - s) / m**2
-    weights[1:] *= 2.0
-    se = math.sqrt(max(float(weights @ terms), 0.0))
+    r = np.empty(reach + 1)
+    for lo in range(0, reach + 1, SUM_SLICE):
+        hi = min(lo + SUM_SLICE, reach + 1)
+        r[lo:hi] = eval_r(cov, 0, dt * np.arange(lo, hi))
+    var = 0.0
+    for lo in range(0, s_max + 1, SUM_SLICE):
+        hi = min(lo + SUM_SLICE, s_max + 1)
+        s = np.arange(lo, hi)
+        terms = r[lo:hi] ** 2 + r[lo + idx:hi + idx] * r[np.abs(s - idx)]
+        weights = (m - s) / m**2
+        weights[s > 0] *= 2.0
+        var += _sliced_dot(weights, terms)
+    se = math.sqrt(max(var, 0.0))
     if se == 0.0:
         return 0.0, 0.0
 
     two_sided = np.concatenate([r[:0:-1], r])  # r(u), u = -reach..reach
-    n = 1 << (4 * reach + 1).bit_length()
+    del r
+    n = _fft_length(4 * reach + 1)
     spectrum = np.fft.rfft(two_sided, n)
+    spectrum *= spectrum
     # conv[j] = sum_v r(v) r(j - 2 reach - v), the lag j - 2 reach
-    conv = np.fft.irfft(spectrum * spectrum, n)
+    conv = np.fft.irfft(spectrum, n)
 
     def f(d):
         top = min(reach, 2 * reach - d)  # u + d stays within the lags of conv
         if top < -reach:
             return 0.0
-        return float(two_sided[:top + reach + 1]
-                     @ conv[reach + d:top + d + 2 * reach + 1])
+        return _sliced_dot(two_sided[:top + reach + 1],
+                           conv[reach + d:top + d + 2 * reach + 1])
 
     kappa3 = (6.0 * f(idx) + 2.0 * f(3 * idx)) / m**2
     return se, kappa3 / se**3
@@ -421,8 +467,9 @@ def check_empirical_covariance(
     mapped to a normal score through its exact skewness
     (product_mean_law, normal_score); both are reported in the detail.
     The path must still fill 100 blocks of ten correlation times at
-    every lag, so the mean is close to its normal approximation. One
-    lag's products are held at a time.
+    every lag, so the mean is close to its normal approximation. Each
+    lag's products are summed SUM_SLICE at a time (_sliced_dot), so the
+    check's temporaries do not grow with the path length.
     """
     tau = _correlation_time(cov)
     if lags is None:
@@ -444,7 +491,7 @@ def check_empirical_covariance(
                 f"lag {lag}: {max(m, 0)} products cannot fill 100 blocks "
                 f"of {block_len} samples"
             )
-        rhat = float((y[:m] * y[idx:]).mean())
+        rhat = _sliced_dot(y[:m], y[idx:]) / m
         se, skew = product_mean_law(cov, dt, idx, m)
         target = eval_r(cov, 0, float(lag))
         z = abs(normal_score((rhat - target) / se, skew)) if se > 0 else np.inf

@@ -216,6 +216,54 @@ class TestSimulate:
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
 
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        # the spectral rows and the exact standard error of the
+        # empirical covariance check, in fresh interpreters with one and
+        # two BLAS threads: a BLAS gemv or dot product may split its sums
+        # between threads and change the last bits
+        code = textwrap.dedent(f"""
+            import contextlib, io, sys
+            from carkov import model, residue_expansion
+            from carkov.cli import main
+            from carkov.validate import product_mean_law
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = main(["simulate", "--model", {K2!r}, "--method",
+                           "spectral", "--dt", "0.01", "--steps", "250",
+                           "--seed", "3", "--out", sys.argv[1]])
+            assert rc == 0
+            cov = residue_expansion(model.load_model({K2!r}))
+            for idx in (0, 499, 1996):
+                print(repr(product_mean_law(cov, 1.0 / 998, idx,
+                                            1_000_001 - idx)))
+            """)
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "MKL_NUM_THREADS": threads}
+            out = tmp_path / threads
+            run = subprocess.run([sys.executable, "-c", code, str(out)],
+                                 env=env, capture_output=True, text=True,
+                                 timeout=120)
+            assert run.returncode == 0, run.stderr
+            runs.append((run.stdout, (out / "path.csv").read_bytes()))
+        assert runs[0][0] == runs[1][0]
+        assert runs[0][1] == runs[1][1]
+
+    def test_python_m_carkov(self, tmp_path):
+        # the package runs as a module, with the command line's outputs
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        run = subprocess.run(
+            [sys.executable, "-m", "carkov", "analyze", "--model", K2,
+             "--out", str(tmp_path / "module")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert main(["analyze", "--model", K2,
+                     "--out", str(tmp_path / "main")]) == 0
+        for name in ("analysis.json", "covariance_curve.csv"):
+            assert (tmp_path / "module" / name).read_bytes() == \
+                (tmp_path / "main" / name).read_bytes()
+
 
 class TestVerify:
     def test_pass_exit_0(self, tmp_path, capsys):

@@ -31,6 +31,7 @@ from carkov.model import abs_p_squared
 from carkov.simulate import (
     SCAN_BLOCK,
     SCAN_CHUNK_BLOCKS,
+    SPECTRAL_BLOCK,
     SPECTRAL_MAP_SCALE,
     _generator,
     _psd_sqrt,
@@ -139,9 +140,9 @@ class TestSampleExact:
 
     def test_long_path_holds_one_chunk_of_shocks(self, spec_k2):
         # a 1e6-step path draws its shocks a scan chunk at a time: the
-        # peak is the output plus one chunk's working set (its shocks,
-        # its states and one product, each a chunk of d doubles), not the
-        # output plus every shock
+        # peak is the output plus one chunk of shocks and the scan's
+        # temporaries, which stay below one chunk of states (d doubles
+        # per step each), not the output plus every shock
         system, law = assemble(spec_k2)
         sample_exact(system, law, 0.01, 10, seed=0)  # tables built untraced
         tracemalloc.start()
@@ -151,7 +152,7 @@ class TestSampleExact:
         finally:
             tracemalloc.stop()
         chunk = SCAN_BLOCK * SCAN_CHUNK_BLOCKS * path.values.shape[0] * 8
-        assert peak <= path.values.nbytes + 4 * chunk, (
+        assert peak <= path.values.nbytes + 2 * chunk, (
             f"peak {(peak - path.values.nbytes) / chunk:.2f} chunks above the output")
 
     def test_matches_drawing_every_shock_first(self, spec_k2):
@@ -254,8 +255,8 @@ def weights_and_lag_error(spec, cov):
     / r(0) of row 0 over lags 0..25 tau on a 0.25 tau grid."""
     tau = 1.0 / min(z.imag for z in spec.roots)
     lags = 0.25 * tau * np.arange(101)
-    cos_t, _sin_t, weights = _spectral_design(spec, lags, 4096)
-    design = cos_t @ weights[0] ** 2
+    lags, z, weights = _spectral_design(spec, lags, 4096)
+    design = np.cos(np.outer(lags, z)) @ weights[0] ** 2
     error = np.abs(design - eval_r(cov, 0, lags)).max() / eval_r(cov, 0, 0.0)
     return weights, error
 
@@ -283,10 +284,10 @@ class TestSpectral:
         # sum_p w_jp^2 (cos^2 + sin^2) at every t. The mapped grid covers
         # the whole line, so every row matches (-1)^j r^(2j)(0).
         cov = residue_expansion(spec_k2)
-        times = np.array([0.0, 0.7])
-        cos_t, sin_t, weights = _spectral_design(spec_k2, times, 4096)
-        assert cos_t.shape == sin_t.shape == (2, 4096)
+        times, z, weights = _spectral_design(spec_k2, [0.0, 0.7], 4096)
+        assert times.shape == (2,) and z.shape == (4096,)
         assert weights.shape == (3, 4096)
+        cos_t, sin_t = np.cos(np.outer(times, z)), np.sin(np.outer(times, z))
         for j in range(3):
             variance = (cos_t**2 + sin_t**2) @ weights[j] ** 2
             np.testing.assert_allclose(
@@ -320,11 +321,30 @@ class TestSpectral:
         _weights, error = weights_and_lag_error(spec, residue_expansion(spec))
         assert error <= 1e-4
 
+    def test_memory_is_the_output_and_one_block(self, spec_k2):
+        # 2,001 times x 4,096 panels: cos and sin are formed one block of
+        # SPECTRAL_BLOCK times and panels at a time, so the peak is the
+        # output plus one [cos | sin] block; the half block of slack
+        # holds the per-panel grid (z, two noise vectors and k + 1
+        # weight rows, 192 KiB here) and numpy's ufunc buffers. The whole
+        # design would be 2 x 2,001 x 4,096 doubles, 125 MiB.
+        times = 0.01 * np.arange(2001)
+        sample_spectral(spec_k2, times[:2], seed=1)
+        tracemalloc.start()
+        try:
+            path = sample_spectral(spec_k2, times, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 2 * SPECTRAL_BLOCK**2 * 8
+        assert peak <= path.values.nbytes + 1.5 * block, (
+            f"peak {(peak - path.values.nbytes) / block:.2f} blocks above the output")
+
     def test_k0(self, spec_k0):
         # 1/(1 + z^2) decays slowest of all; its variance is still exact
         path = sample_spectral(spec_k0, np.arange(4) * 0.5, seed=1)
         assert path.values.shape == (1, 4)
-        _cos_t, _sin_t, weights = _spectral_design(spec_k0, np.zeros(1), 4096)
+        _times, _z, weights = _spectral_design(spec_k0, np.zeros(1), 4096)
         assert weights[0] @ weights[0] == pytest.approx(PI, rel=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 8])

@@ -21,6 +21,7 @@ from carkov.validate import (
     PROBE_MARGIN,
     PROBE_MAX_FACTOR,
     STAT_BAND,
+    _fft_length,
     _probe_design,
     _replicate_ensemble,
     block_standard_error,
@@ -212,23 +213,26 @@ class TestEmpiricalCovariance:
         with pytest.raises(PathTooShort):
             check_empirical_covariance(path, cov)
 
-    def test_holds_one_row_of_products(self):
-        # one lag's products at a time, and a standard error that sums
-        # only the lags the covariance reaches
+    def test_memory_does_not_grow_with_the_path(self):
+        # each lag's products are summed a slice at a time, and the
+        # standard error's lag sums and FFT are sized by the grid and the
+        # lags, not by the path: the same fixed bound holds at 1e6 and
+        # 4e6 samples (the products alone would be 8 and 32 MB)
         spec = model.load_model(ROOT / "configs" / "k2.json")
         system, law = assemble(spec)
         cov = residue_expansion(spec)
         tau = 1.0 / min(z.imag for z in spec.roots)
-        path = sample_exact(system, law, tau / 998, 999_999, seed=1)
-        row = path.values[0].nbytes
-        tracemalloc.start()
-        try:
-            rep = check_empirical_covariance(path, cov)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rep.passed, rep.detail
-        assert peak <= 1.25 * row, f"peak {peak / row:.2f} rows"
+        for n in (1_000_000, 4_000_000):
+            path = sample_exact(system, law, tau / 998, n - 1, seed=1)
+            path = dataclasses.replace(path, values=path.values[:1].copy())
+            tracemalloc.start()
+            try:
+                rep = check_empirical_covariance(path, cov)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rep.passed, rep.detail
+            assert peak <= 3 << 20, f"n = {n}: peak {peak / 2**20:.2f} MiB"
 
     @pytest.mark.parametrize("dt, m", [(0.1, 400), (0.02, 60_000)])
     def test_standard_error_is_the_isserlis_sum(self, spec_k2, dt, m):
@@ -264,6 +268,20 @@ class TestEmpiricalCovariance:
         )
         assert skew == pytest.approx(total / m**2 / se**3, rel=1e-9)
         assert 0.0 < skew < 0.2
+
+    def test_fft_length(self):
+        # the smallest 2^a 3^b 5^c at or above n, against a search
+        def smooth(n):
+            for p in (2, 3, 5):
+                while n % p == 0:
+                    n //= p
+            return n == 1
+
+        for n in range(1, 3000):
+            assert _fft_length(n) == next(
+                m for m in range(n, 2 * n + 1) if smooth(m))
+        # 4 reach + 1 at lag 2 tau of a 1e6-step path at tau / 998
+        assert _fft_length(95_809) == 96_000
 
     def test_normal_score(self):
         xs = np.linspace(-8.0, 8.0, 161)
