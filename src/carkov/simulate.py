@@ -75,7 +75,8 @@ def _generator(seed: int, method: str, stream: int = 0) -> np.random.Generator:
 
 
 def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a PSD matrix via eigendecomposition."""
+    """Factor F = U diag(sqrt(w)) of a PSD matrix M = U diag(w) U^T, so
+    that F @ F.T = M; rounding-negative eigenvalues are clipped to 0."""
     w, u = np.linalg.eigh((matrix + matrix.T) / 2.0)
     return u * np.sqrt(np.clip(w, 0.0, None))
 
@@ -289,6 +290,37 @@ def _draw_path(step, noise_map, z0, n_steps, rng):
 # ---------------------------------------------------------------------------
 # exact discretization
 
+#: Higham's [13/13] Pade coefficients b_0 ... b_13 of e^x
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+    16380.0, 182.0, 1.0,
+)
+
+#: largest 1-norm at which the [13/13] approximant is accurate to double
+#: precision
+_THETA13 = 5.371920351148152
+
+
+def _pade13(a: np.ndarray) -> np.ndarray:
+    """e^a by the [13/13] Pade approximant, for ||a||_1 <= _THETA13.
+
+    The even/odd split of Higham (2005), SIAM J. Matrix Anal. Appl.
+    26:1179; the caller scales a into range.
+    """
+    b = _PADE13
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    return np.linalg.solve(v - u, v + u)
+
+
 def exact_step_operator(
     system: ItoSystem, law: StationaryLaw, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -299,49 +331,65 @@ def exact_step_operator(
     system, law : ItoSystem, StationaryLaw
         Assembled Markov system and its stationary covariance Sigma.
     dt : float
-        Step size, > 0.
+        Step size, > 0 and finite.
 
     Returns
     -------
     (phi, innovation)
-        phi = e^{A dt}; innovation L satisfies L @ L.T =
-        Sigma - phi @ Sigma @ phi.T, so Z' = phi Z + L xi with standard
-        normal xi preserves the stationary law exactly.
+        phi = e^{A dt}; innovation L satisfies L @ L.T = Q =
+        int_0^dt e^{As} b b^T e^{A^T s} ds, so Z' = phi Z + L xi with
+        standard normal xi is the diffusion's exact transition and
+        preserves the stationary law.
 
     Raises
     ------
     StepTooSmall
         If the computed eigenvalues of phi have modulus >= 1, which the
-        state recursion cannot advance; at dt of about 1e-10 tau and
-        below, rounding puts some k >= 8 models there.
+        state recursion cannot advance; at dt of about 1e-15 tau and
+        below, rounding puts k >= 8 models there.
     FactorizationFailure
-        If the innovation covariance has an eigenvalue below
-        -1e-10 * ||Sigma||.
+        If Sigma has a diagonal entry that is not positive, so the
+        state cannot be scaled by its standard deviations.
 
     Notes
     -----
-    When the drift eigenvalues are simple (the generic case) the matrix
-    exponential is taken through the eigendecomposition, which also
-    cross-validates the companion structure; clustered eigenvalues fall
-    back to the scaling-and-squaring exponential.
+    phi and Q come from one matrix exponential, of Van Loan's block
+    [[-A, b b^T], [0, A^T]] (Van Loan 1978, IEEE TAC 23:395), taken in
+    the state scaled by D = diag(Sigma)^(1/2) so that every derivative
+    order has unit variance. The block is exponentiated by the [13/13]
+    Pade approximant at dt / 2^s, with s the fewest halvings that bring
+    its 1-norm within range, and the pair is then doubled s times
+    (Q <- Q + phi Q phi^T, phi <- phi^2). Q is thus a sum of congruences
+    of a positive semidefinite seed and never the difference
+    Sigma - phi Sigma phi^T, which cancels at small dt. L is a factor of
+    Q in the unscaled state.
     """
-    if not (dt > 0):
-        raise ValueError("dt must be positive")
-    A = system.companion
-    eigvals, V = np.linalg.eig(A)
-    scale = max(1.0, np.abs(eigvals).max())
-    gaps = [
-        abs(eigvals[i] - eigvals[j])
-        for i in range(len(eigvals))
-        for j in range(i + 1, len(eigvals))
-    ]
-    if not gaps or min(gaps) > 1e-6 * scale:
-        phi = (V * np.exp(eigvals * dt)) @ np.linalg.inv(V)
-        phi = phi.real
-    else:
-        import scipy.linalg
-
-        phi = scipy.linalg.expm(A * dt)
+    if not (0 < dt < math.inf):
+        raise ValueError("dt must be positive and finite")
+    variances = np.diag(law.covariance)
+    if not (variances > 0).all():
+        raise FactorizationFailure(
+            f"stationary variances {variances} are not all positive"
+        )
+    scale = np.sqrt(variances)
+    d = scale.size
+    drift = system.companion * scale / scale[:, None]
+    noise = system.noise_vector / scale
+    block = np.zeros((2 * d, 2 * d))
+    block[:d, :d] = -drift
+    block[:d, d:] = np.outer(noise, noise)
+    block[d:, d:] = drift.T
+    block *= dt
+    norm = np.linalg.norm(block, 1)
+    halvings = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    e = _pade13(block / 2.0**halvings)
+    phi = e[d:, d:].T
+    q = phi @ e[:d, d:]
+    for _ in range(halvings):
+        q = q + phi @ q @ phi.T
+        phi = phi @ phi
+    phi = phi * scale[:, None] / scale
+    q = q * np.outer(scale, scale)
     radius = np.abs(np.linalg.eigvals(phi)).max()
     if not radius < 1.0:
         raise StepTooSmall(
@@ -349,19 +397,7 @@ def exact_step_operator(
             f"{radius:.17g} >= 1; this dt is below what double precision "
             "resolves for the model, use a larger one"
         )
-
-    sigma = law.covariance
-    q = sigma - phi @ sigma @ phi.T
-    q = (q + q.T) / 2.0
-    w, u = np.linalg.eigh(q)
-    sigma_norm = np.linalg.eigvalsh(sigma).max()
-    if w.min() < -1e-10 * sigma_norm:
-        raise FactorizationFailure(
-            f"innovation covariance eigenvalue {w.min():.3e} is negative "
-            f"beyond tolerance (||Sigma|| = {sigma_norm:.3e})"
-        )
-    innovation = u * np.sqrt(np.clip(w, 0.0, None))
-    return phi, innovation
+    return phi, _psd_sqrt(q)
 
 
 def sample_exact(

@@ -162,11 +162,11 @@ class TestSimulate:
 
     def test_exact_step_too_small_exit_2(self, tmp_path, capsys):
         # the first random k = 8 / k = 10 model whose e^{A dt} rounds to
-        # spectral radius >= 1 at dt = 1e-12 tau
+        # spectral radius >= 1 at dt = 1e-15 tau
         rng = np.random.default_rng(5)
         for i in range(20):
             spec = make_random_spec(rng, 8 if i % 2 == 0 else 10)
-            dt = 1e-12 / min(z.imag for z in spec.roots)
+            dt = 1e-15 / min(z.imag for z in spec.roots)
             try:
                 exact_step_operator(*assemble(spec), dt)
             except StepTooSmall:
@@ -183,19 +183,20 @@ class TestSimulate:
         assert "spectral radius" in err["message"]
 
     def test_simulate_does_not_load_scipy(self, tmp_path):
-        # scipy is imported only by the exact sampler when the drift has
-        # clustered eigenvalues; a fresh interpreter runs the spectral and
-        # exact samplers, analyze, the fast verification suite and the
+        # a fresh interpreter runs the spectral and exact samplers (the
+        # latter also on k1_repeated, whose drift has a repeated
+        # eigenvalue), analyze, the fast verification suite and the
         # quadrature oracle with numpy alone
         code = textwrap.dedent(f"""
             import sys
             import carkov, carkov.cli
-            for method in ("spectral", "exact"):
+            runs = [({K2!r}, "spectral"), ({K2!r}, "exact"), ({K1!r}, "exact")]
+            for i, (config, method) in enumerate(runs):
                 rc = carkov.cli.main([
-                    "simulate", "--model", {K2!r}, "--method", method,
+                    "simulate", "--model", config, "--method", method,
                     "--dt", "0.01", "--steps", "50", "--seed", "1",
-                    "--out", {str(tmp_path)!r} + "/" + method])
-                assert rc == 0, method
+                    "--out", {str(tmp_path)!r} + "/path" + str(i)])
+                assert rc == 0, (config, method)
             rc = carkov.cli.main([
                 "analyze", "--model", {K2!r},
                 "--out", {str(tmp_path)!r} + "/analyze"])

@@ -79,8 +79,34 @@ class TestExactStepOperator:
 
     def test_rejects_bad_dt(self, spec_k0):
         system, law = assemble(spec_k0)
-        with pytest.raises(ValueError):
-            exact_step_operator(system, law, 0.0)
+        for dt in (0.0, math.inf):
+            with pytest.raises(ValueError):
+                exact_step_operator(system, law, dt)
+
+    @pytest.mark.parametrize("dt", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_k0_innovation_at_small_dt(self, spec_k0, dt):
+        # Q = r(0) (1 - e^{-2 lambda dt}), which Sigma - phi Sigma phi^T
+        # loses to cancellation as dt shrinks
+        system, law = assemble(spec_k0)
+        _, L = exact_step_operator(system, law, dt)
+        lam = -system.drift[0]
+        want = -law.covariance[0, 0] * math.expm1(-2.0 * lam * dt)
+        assert (L @ L.T)[0, 0] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("dt", [1e-2, 1e-3, 1e-4, 1e-5])
+    def test_k2_innovation_matches_van_loan(self, spec_k2, dt):
+        system, law = assemble(spec_k2)
+        _, L = exact_step_operator(system, law, dt)
+        q = van_loan_innovation(system, dt)
+        assert (L @ L.T)[0, 0] == pytest.approx(q[0, 0], rel=1e-8, abs=0.0)
+
+    def test_k8_innovation_at_tau(self):
+        spec = make_random_spec(np.random.default_rng(0), 8)
+        system, law = assemble(spec)
+        dt = 1.0 / min(z.imag for z in spec.roots)
+        _, L = exact_step_operator(system, law, dt)
+        q = van_loan_innovation(system, dt)
+        assert (L @ L.T)[-1, -1] == pytest.approx(q[-1, -1], rel=1e-12, abs=0.0)
 
     def test_factorization_failure(self, spec_k0):
         system, law = assemble(spec_k0)
@@ -90,15 +116,35 @@ class TestExactStepOperator:
             )
 
 
+def van_loan_innovation(system, dt):
+    """Q = int_0^dt e^{As} b b^T e^{A^T s} ds of the float system, from
+    Van Loan's block exponential at 50 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        A = mp.matrix(system.companion.tolist())
+        b = mp.matrix(system.noise_vector.tolist())
+        d = A.rows
+        block = mp.zeros(2 * d, 2 * d)
+        for i in range(d):
+            for j in range(d):
+                block[i, j] = -A[i, j]
+                block[i, d + j] = b[i] * b[j]
+                block[d + i, d + j] = A[j, i]
+        e = mp.expm(block * mp.mpf(dt))
+        phi = e[d:, d:].T
+        q = phi * e[:d, d:]
+        return np.array(q.tolist(), dtype=float)
+
+
 def too_small_steps(n_models=20):
     """(spec, system, law, dt) for random k = 8 and k = 10 models at
-    dt = 1e-12 tau, where e^{A dt} rounds towards the identity."""
+    dt = 1e-15 tau, where e^{A dt} rounds towards the identity."""
     rng = np.random.default_rng(5)
     for i in range(n_models):
         spec = make_random_spec(rng, 8 if i % 2 == 0 else 10)
         system, law = assemble(spec)
         tau = 1.0 / min(z.imag for z in spec.roots)
-        yield spec, system, law, 1e-12 * tau
+        yield spec, system, law, 1e-15 * tau
 
 
 class TestStepTooSmall:
