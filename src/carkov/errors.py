@@ -74,7 +74,8 @@ class UnstableStep(CarkovError):
 class StepTooSmall(CarkovError):
     """The exact step e^{A dt} is so close to the identity that its computed
     spectral radius rounds to 1 or above: dt is below what double precision
-    resolves for the model (about 1e-15 tau for k >= 8)."""
+    resolves for the model (about 1e-15 tau for k >= 8). The message names
+    a larger dt that it does resolve."""
 
 
 # ---------------------------------------------------------------------------

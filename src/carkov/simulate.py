@@ -321,6 +321,36 @@ def _pade13(a: np.ndarray) -> np.ndarray:
     return np.linalg.solve(v - u, v + u)
 
 
+def _van_loan(system: ItoSystem, scale: np.ndarray, dt: float):
+    """(phi, Q, computed spectral radius of phi) at dt, from the Van Loan
+    block exponential in the state scaled by scale (see
+    exact_step_operator)."""
+    d = scale.size
+    drift = system.companion * scale / scale[:, None]
+    noise = system.noise_vector / scale
+    block = np.zeros((2 * d, 2 * d))
+    block[:d, :d] = -drift
+    block[:d, d:] = np.outer(noise, noise)
+    block[d:, d:] = drift.T
+    block *= dt
+    norm = np.linalg.norm(block, 1)
+    halvings = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    e = _pade13(block / 2.0**halvings)
+    phi = e[d:, d:].T
+    q = phi @ e[:d, d:]
+    for _ in range(halvings):
+        q = q + phi @ q @ phi.T
+        phi = phi @ phi
+    phi = phi * scale[:, None] / scale
+    q = q * np.outer(scale, scale)
+    return phi, q, np.abs(np.linalg.eigvals(phi)).max()
+
+
+#: doublings of a too small dt tried in search of one that double
+#: precision resolves
+_MAX_DOUBLINGS = 60
+
+
 def exact_step_operator(
     system: ItoSystem, law: StationaryLaw, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -346,7 +376,9 @@ def exact_step_operator(
     StepTooSmall
         If the computed eigenvalues of phi have modulus >= 1, which the
         state recursion cannot advance; at dt of about 1e-15 tau and
-        below, rounding puts k >= 8 models there.
+        below, rounding puts k >= 8 models there. The message names a
+        usable dt: the first of dt 2^j (j = 1 ... _MAX_DOUBLINGS),
+        rounded to 3 significant digits, at which the radius is below 1.
     FactorizationFailure
         If Sigma has a diagonal entry that is not positive, so the
         state cannot be scaled by its standard deviations.
@@ -372,32 +404,68 @@ def exact_step_operator(
             f"stationary variances {variances} are not all positive"
         )
     scale = np.sqrt(variances)
-    d = scale.size
-    drift = system.companion * scale / scale[:, None]
-    noise = system.noise_vector / scale
-    block = np.zeros((2 * d, 2 * d))
-    block[:d, :d] = -drift
-    block[:d, d:] = np.outer(noise, noise)
-    block[d:, d:] = drift.T
-    block *= dt
-    norm = np.linalg.norm(block, 1)
-    halvings = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
-    e = _pade13(block / 2.0**halvings)
-    phi = e[d:, d:].T
-    q = phi @ e[:d, d:]
-    for _ in range(halvings):
-        q = q + phi @ q @ phi.T
-        phi = phi @ phi
-    phi = phi * scale[:, None] / scale
-    q = q * np.outer(scale, scale)
-    radius = np.abs(np.linalg.eigvals(phi)).max()
+    phi, q, radius = _van_loan(system, scale, dt)
     if not radius < 1.0:
+        usable = f"and no dt up to 2^{_MAX_DOUBLINGS} times larger does"
+        for j in range(1, _MAX_DOUBLINGS + 1):
+            trial = float(f"{dt * 2.0**j:.3g}")
+            if _van_loan(system, scale, trial)[2] < 1.0:
+                usable = f"use a larger one, such as dt = {trial:.3g}"
+                break
         raise StepTooSmall(
             f"e^(A dt) at dt = {dt:.6g} has computed spectral radius "
             f"{radius:.17g} >= 1; this dt is below what double precision "
-            "resolves for the model, use a larger one"
+            f"resolves for the model, {usable}"
         )
     return phi, _psd_sqrt(q)
+
+
+# 16 entries: one run_suite uses its path dt and up to four probe gaps,
+# and a caller that samples exact and Euler paths side by side two more;
+# an entry is a few KB at d <= 21
+@lru_cache(maxsize=16)
+def _recursion_operands(method, dt, drift_bytes, diffusion, cov_bytes):
+    """Read-only (step, noise_map, Sigma factor) of one sampler at dt.
+
+    For "exact", (step, noise_map) is exact_step_operator's (phi, L); for
+    "euler", (I + A dt, b sqrt(dt) e_k), once I + A dt has passed the
+    radius check. The Sigma factor is _psd_sqrt of the covariance, which
+    draws the stationary initial state. Keyed on the operands' bytes, so
+    a covariance changed in place gets fresh operands; the errors
+    (StepTooSmall, UnstableStep, FactorizationFailure, ValueError) are
+    not cached and raise on every call.
+    """
+    drift = np.frombuffer(drift_bytes).copy()
+    d = drift.size
+    system = ItoSystem(drift=drift, diffusion=diffusion)
+    covariance = np.frombuffer(cov_bytes).reshape(d, d).copy()
+    if method == "exact":
+        step, noise_map = exact_step_operator(
+            system, StationaryLaw(covariance=covariance), dt
+        )
+    else:
+        step = np.eye(d) + system.companion * dt
+        radius = np.abs(np.linalg.eigvals(step)).max()
+        if radius >= 1.0:
+            raise UnstableStep(
+                f"I + A dt has spectral radius {radius:.6f} >= 1 at dt = {dt}; "
+                f"stable below dt = {euler_step_bound(system):.6g}"
+            )
+        noise_map = (system.noise_vector * math.sqrt(dt)).reshape(d, 1)
+    operands = step, noise_map, _psd_sqrt(covariance)
+    for a in operands:
+        a.flags.writeable = False
+    return operands
+
+
+def _recursion(system: ItoSystem, law: StationaryLaw, method: str, dt):
+    """_recursion_operands of (system, law) for method at dt."""
+    return _recursion_operands(
+        method, dt,
+        np.asarray(system.drift, dtype=float).tobytes(),
+        float(system.diffusion),
+        np.asarray(law.covariance, dtype=float).tobytes(),
+    )
 
 
 def sample_exact(
@@ -427,9 +495,9 @@ def sample_exact(
     SamplePath
         Stationary path: every column is marginally N(0, Sigma).
     """
-    phi, innovation = exact_step_operator(system, law, dt)
+    phi, innovation, factor = _recursion(system, law, "exact", dt)
     rng = _generator(seed, "exact", stream)
-    z0 = _psd_sqrt(law.covariance) @ rng.standard_normal(phi.shape[0])
+    z0 = factor @ rng.standard_normal(phi.shape[0])
     values = _draw_path(phi, innovation, z0, n_steps, rng)
     return SamplePath(dt=float(dt), values=values, seed=int(seed), method="exact")
 
@@ -467,23 +535,15 @@ def sample_euler(
     """
     if not (dt > 0):
         raise ValueError("dt must be positive")
-    A = system.companion
-    d = A.shape[0]
-    step = np.eye(d) + A * dt
-    radius = np.abs(np.linalg.eigvals(step)).max()
-    if radius >= 1.0:
-        raise UnstableStep(
-            f"I + A dt has spectral radius {radius:.6f} >= 1 at dt = {dt}; "
-            f"stable below dt = {euler_step_bound(system):.6g}"
-        )
+    step, noise_map, factor = _recursion(system, law, "euler", dt)
+    d = step.shape[0]
     rng = _generator(seed, "euler", stream)
     if z0 is None:
-        z0 = _psd_sqrt(law.covariance) @ rng.standard_normal(d)
+        z0 = factor @ rng.standard_normal(d)
     else:
         z0 = np.asarray(z0, dtype=float)
         if z0.shape != (d,):
             raise ValueError(f"z0 must have shape ({d},)")
-    noise_map = (system.noise_vector * math.sqrt(dt)).reshape(d, 1)
     values = _draw_path(step, noise_map, z0, n_steps, rng)
     return SamplePath(dt=float(dt), values=values, seed=int(seed), method="euler")
 

@@ -37,8 +37,7 @@ from .model import RealPolynomial, RootSpec, ode_char_poly
 from .simulate import (
     SamplePath,
     _generator,
-    _psd_sqrt,
-    exact_step_operator,
+    _recursion,
     sample_exact,
 )
 
@@ -668,7 +667,7 @@ def _probe_design(system: ItoSystem, law: StationaryLaw, tau: float,
     r0 = sigma[0, 0]
     best_gap, best_rho = 0.0, 0.0
     for frac in PROBE_GAPS:
-        phi = exact_step_operator(system, law, frac * tau)[0]
+        phi = _recursion(system, law, "exact", frac * tau)[0]
         r1 = (phi @ sigma)[0, 0]
         r2 = (phi @ phi @ sigma)[0, 0]
         rho = (r2 * r0 - r1**2) / (r0**2 - r1**2)
@@ -685,13 +684,14 @@ def _replicate_ensemble(system: ItoSystem, law: StationaryLaw, gap: float,
 
     Z(0) = Sigma^(1/2) xi_0 and Z(t + gap) = Phi Z(t) + L xi, with (Phi, L)
     the exact step operator at gap, so every replicate is a stationary
-    draw of the three states. All the shocks are one (3, n_rep, k+1)
-    normal block from the (seed, "exact", 1) substream, and each state is
-    formed in place of its shocks.
+    draw of the three states. The operator and the Sigma factor come from
+    the samplers' memo, which _probe_design has filled at gap. All the
+    shocks are one (3, n_rep, k+1) normal block from the (seed, "exact",
+    1) substream, and each state is formed in place of its shocks.
     """
-    phi, innovation = exact_step_operator(system, law, gap)
+    phi, innovation, factor = _recursion(system, law, "exact", gap)
     xi = _generator(seed, "exact", 1).standard_normal((3, n_rep, system.k + 1))
-    xi[0] = xi[0] @ _psd_sqrt(law.covariance).T
+    xi[0] = xi[0] @ factor.T
     for m in (1, 2):
         xi[m] = xi[m - 1] @ phi.T + xi[m] @ innovation.T
     return xi.transpose(1, 2, 0)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from carkov import (
     sample_spectral,
     spectral_replicates,
 )
-from carkov import model
+from carkov import model, simulate
 from carkov.covariance import moment_bounds
 from carkov.errors import (
     FactorizationFailure,
@@ -35,6 +36,8 @@ from carkov.simulate import (
     SPECTRAL_MAP_SCALE,
     _generator,
     _psd_sqrt,
+    _recursion,
+    _recursion_operands,
     _spectral_design,
     ar1_recursion,
     euler_step_bound,
@@ -161,7 +164,88 @@ class TestStepTooSmall:
                 assert "spectral radius" in str(exc)
                 with pytest.raises(StepTooSmall):
                     exact_step_operator(system, law, dt)
+                # the message names a larger dt at which the sampler runs
+                named = re.search(r"such as dt = (\S+)$", str(exc))
+                assert named is not None, str(exc)
+                usable = float(named.group(1))
+                assert usable > dt
+                path = sample_exact(system, law, usable, 5, seed=0)
+                assert np.isfinite(path.values).all()
         assert raised > 0
+
+
+def count_operator_calls(monkeypatch):
+    """Clear the recursion memo and count exact_step_operator calls."""
+    calls = []
+
+    def counted(system, law, dt):
+        calls.append(dt)
+        return exact_step_operator(system, law, dt)
+
+    monkeypatch.setattr(simulate, "exact_step_operator", counted)
+    _recursion_operands.cache_clear()
+    return calls
+
+
+def resolves(system, law, dt):
+    """Whether exact_step_operator accepts dt."""
+    try:
+        exact_step_operator(system, law, dt)
+    except StepTooSmall:
+        return False
+    return True
+
+
+class TestRecursionMemo:
+    def test_one_operator_per_system_law_dt(self, spec_k2, monkeypatch):
+        system, law = assemble(spec_k2)
+        calls = count_operator_calls(monkeypatch)
+        a = sample_exact(system, law, 0.05, 100, seed=1)
+        b = sample_exact(system, law, 0.05, 100, seed=2)
+        assert calls == [0.05]
+        assert not np.array_equal(a.values, b.values)
+
+    def test_new_dt_or_changed_covariance_gets_fresh_operands(
+            self, spec_k2, monkeypatch):
+        system, law = assemble(spec_k2)
+        calls = count_operator_calls(monkeypatch)
+        first = sample_exact(system, law, 0.05, 50, seed=1)
+        sample_exact(system, law, 0.07, 50, seed=1)
+        assert calls == [0.05, 0.07]
+        # the memo keys on the covariance's bytes, not on the law object
+        law.covariance[:] *= 4.0
+        scaled = sample_exact(system, law, 0.05, 50, seed=1)
+        assert calls == [0.05, 0.07, 0.05]
+        # the initial state was drawn with the new covariance's factor
+        np.testing.assert_allclose(scaled.values[:, 0], 2.0 * first.values[:, 0],
+                                   rtol=1e-12)
+
+    def test_operands_read_only_and_paths_writeable(self, spec_k2):
+        system, law = assemble(spec_k2)
+        for method in ("exact", "euler"):
+            for operand in _recursion(system, law, method, 0.01):
+                assert not operand.flags.writeable
+        for sampler in (sample_exact, sample_euler):
+            path = sampler(system, law, 0.01, 20, seed=0)
+            assert path.values.flags.writeable
+            path.values[:, 0] = 0.0
+        phi, innovation = exact_step_operator(system, law, 0.01)
+        assert phi.flags.writeable and innovation.flags.writeable
+
+    def test_errors_raise_every_time_and_are_not_cached(self, spec_k0):
+        system, law, dt = next(
+            (sy, la, dt) for _sp, sy, la, dt in too_small_steps()
+            if not resolves(sy, la, dt)
+        )
+        _recursion_operands.cache_clear()
+        for _ in range(2):
+            with pytest.raises(StepTooSmall):
+                sample_exact(system, law, dt, 5, seed=0)
+        system0, law0 = assemble(spec_k0)
+        for _ in range(2):
+            with pytest.raises(UnstableStep):
+                sample_euler(system0, law0, 2.1, 10, seed=1)
+        assert _recursion_operands.cache_info().currsize == 0
 
 
 class TestSampleExact:
@@ -203,15 +287,19 @@ class TestSampleExact:
 
     def test_matches_drawing_every_shock_first(self, spec_k2):
         # the chunked draws are the stream's order: the path is the one
-        # that one (n, d) draw and one recursion give, bit for bit
+        # that one (n, d) draw and one recursion give, bit for bit, from
+        # a cold and from a filled operand memo
         system, law = assemble(spec_k2)
         n = 2 * SCAN_BLOCK * SCAN_CHUNK_BLOCKS + 21
+        _recursion_operands.cache_clear()
         path = sample_exact(system, law, 0.05, n, seed=8, stream=2)
+        again = sample_exact(system, law, 0.05, n, seed=8, stream=2)
         phi, innovation = exact_step_operator(system, law, 0.05)
         rng = _generator(8, "exact", 2)
         z0 = _psd_sqrt(law.covariance) @ rng.standard_normal(3)
         whole = ar1_recursion(phi, innovation, z0, rng.standard_normal((n, 3)))
         assert path.values.tobytes() == whole.tobytes()
+        assert again.values.tobytes() == whole.tobytes()
 
     def test_stationary_variance(self, spec_k2):
         system, law = assemble(spec_k2)
@@ -235,9 +323,12 @@ class TestSampleEuler:
         assert "stable below" in str(err.value)
 
     def test_matches_drawing_every_shock_first(self, spec_k2):
+        # from a cold and from a filled operand memo
         system, law = assemble(spec_k2)
         dt, n = 0.001, SCAN_BLOCK * SCAN_CHUNK_BLOCKS + 9
+        _recursion_operands.cache_clear()
         path = sample_euler(system, law, dt, n, seed=8)
+        again = sample_euler(system, law, dt, n, seed=8)
         rng = _generator(8, "euler")
         z0 = _psd_sqrt(law.covariance) @ rng.standard_normal(3)
         whole = ar1_recursion(
@@ -246,6 +337,7 @@ class TestSampleEuler:
             z0, rng.standard_normal((n, 1)),
         )
         assert path.values.tobytes() == whole.tobytes()
+        assert again.values.tobytes() == whole.tobytes()
 
     def test_recursion_reproduced_by_hand(self, spec_k1_repeated):
         system, law = assemble(spec_k1_repeated)

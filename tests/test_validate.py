@@ -11,14 +11,16 @@ import pytest
 import scipy.linalg
 
 from carkov import assemble, eval_r, moments, residue_expansion, sample_exact
-from carkov import model, validate
+from carkov import model, simulate, validate
 from carkov.covariance import CovarianceModel
 from carkov.markov import ito_from_config, ito_to_config
 from carkov.errors import DegenerateConditioning, PathTooShort
 from carkov.model import RealPolynomial
+from carkov.simulate import exact_step_operator
 from carkov.validate import (
     CLOSED_FORM_TOL,
     PROBE_MARGIN,
+    PROBE_GAPS,
     PROBE_MAX_FACTOR,
     STAT_BAND,
     _fft_length,
@@ -478,6 +480,20 @@ class TestRunSuite:
             assert 1000 <= n_rep <= PROBE_MAX_FACTOR * 1000
             assert (abs(rho) * math.sqrt(n_rep) >= STAT_BAND + PROBE_MARGIN
                     or n_rep == PROBE_MAX_FACTOR * 1000)
+
+    def test_suite_builds_one_operator_per_dt(self, spec_k2, monkeypatch):
+        # the path dt and the four probe gaps: the chosen gap's operator
+        # is built once for the probe design and reused by the replicates
+        calls = []
+
+        def counted(system, law, dt):
+            calls.append(dt)
+            return exact_step_operator(system, law, dt)
+
+        monkeypatch.setattr(simulate, "exact_step_operator", counted)
+        simulate._recursion_operands.cache_clear()
+        run_suite(spec_k2, budget="fast", seed=0)
+        assert len(calls) == len(set(calls)) == 1 + len(PROBE_GAPS)
 
     def test_replicate_ensemble_law(self, spec_k2):
         # the three states are a stationary exact-chain draw: Cov(Z(m g),
