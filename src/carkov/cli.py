@@ -122,7 +122,7 @@ def cmd_simulate(args) -> int:
             path = simulate.sample_euler(system, law, args.dt, args.steps, seed)
     else:
         times = args.dt * np.arange(args.steps + 1)
-        path = simulate.sample_spectral(spec, times, seed, n_panels=args.panels)
+        path = simulate.sample_spectral(spec, times, seed)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -203,8 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help=f"RNG seed (default ${_SEED_ENV} or 0)")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--panels", type=int, default=simulate.SPECTRAL_PANELS,
-                   help="spectral midpoint panel count")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the cross-verification suite")

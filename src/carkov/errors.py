@@ -41,7 +41,9 @@ class OrderTooHigh(CarkovError):
 
 class NotConverged(CarkovError):
     """The quadrature oracle could not certify the requested accuracy, or
-    the spectral grid could not resolve the density."""
+    the spectral grid could not resolve the density over the requested
+    span within its panel cap (simulate.SPECTRAL_MAX_PANELS); the message
+    then names the cap, the span and the map scale."""
 
 
 class SingularGram(CarkovError):

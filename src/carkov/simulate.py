@@ -4,7 +4,8 @@ Three samplers target the same stationary law: exact one-step transition
 (discretely exact at any dt), Euler-Maruyama (biased at order dt, kept as
 a deliberately independent reference), and a midpoint discretization of
 the spectral representation on a tan-mapped frequency grid that covers
-the whole real line (no time recursion and no truncation). Agreement
+the whole real line (no time recursion and no truncation), whose panel
+count the sampler sizes from the model and the requested span. Agreement
 between their empirical covariances and the closed form is the package's
 main end-to-end consistency argument.
 
@@ -33,9 +34,6 @@ from .errors import (
 )
 from .markov import ItoSystem, StationaryLaw
 from .model import RootSpec, abs_p_squared
-
-#: default number of midpoint panels for the spectral sampler
-SPECTRAL_PANELS = 4096
 
 _METHOD_CODES = {"exact": 1, "euler": 2, "spectral": 3}
 
@@ -273,8 +271,10 @@ def _draw_path(step, noise_map, z0, n_steps, rng):
     steps) and the draws come in the stream's order, so the path is the
     one that drawing every shock first would give, bit for bit, while
     only one chunk's shocks are held at a time: each chunk is drawn into
-    the one buffer.
+    the one buffer. Raises ValueError if n_steps is negative.
     """
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     out = np.empty((step.shape[0], n_steps + 1))
     out[:, 0] = z0
     chunk = SCAN_BLOCK * SCAN_CHUNK_BLOCKS
@@ -556,34 +556,98 @@ def sample_euler(
 #: panels, and either way the lag covariance aliases more
 SPECTRAL_MAP_SCALE = 4.0
 
+#: panel count the spectral grid starts from, and keeps whenever it
+#: resolves the model over the requested span
+SPECTRAL_PANELS = 4096
+
+#: panel count past which the grid is not doubled: the design is then
+#: refused with NotConverged
+SPECTRAL_MAX_PANELS = 2**17
+
 #: allowed relative gap between each row's design variance and its
 #: closed form (-1)^j r^(2j)(0)
 SPECTRAL_RESOLUTION_TOL = 1e-3
+
+#: allowed gap between row 0's design covariance and r at the requested
+#: lags, as a fraction of r(0). Aliasing puts the gap near r(0) itself,
+#: while the k = 0 model's slow tail costs 5e-3 at 4096 panels without
+#: aliasing (configs/k0.json, span 100 tau)
+SPECTRAL_LAG_TOL = 1e-2
 
 #: times and panels per block of the spectral sum: cos and sin of the
 #: phases are formed one (times, panels) block at a time
 SPECTRAL_BLOCK = 256
 
+#: standard normals in each of spectral_replicates' two draw blocks: 256
+#: replicates at 4096 panels, 8 MiB a block
+SPECTRAL_DRAW_BLOCK = 256 * SPECTRAL_PANELS
 
-def _spectral_design(spec, times, n_panels):
+
+def _checked_lags(spec, times):
+    """Lags of the requested times at which the design covariance is
+    checked: from 0 to the span, at most one per tau/2 (tau = 1 / min
+    Im zeta) besides the span itself."""
+    size = times.size
+    if size == 1:
+        return np.zeros(1)
+    tau = 1.0 / min(z.imag for z in spec.roots)
+    stride = max(1, math.ceil(0.5 * tau / (times[1] - times[0])))
+    idx = np.append(np.arange(0, size - 1, stride), size - 1)
+    return times[idx] - times[0]
+
+
+def _design_gap(z, weights, variances, lags, r_lags):
+    """What the grid (z, weights) gets wrong, or None: the first row
+    whose design variance misses its target by more than
+    SPECTRAL_RESOLUTION_TOL, else the worst lag at which row 0's design
+    covariance sum_p w_0p^2 cos(z_p T) misses r(T) by more than
+    SPECTRAL_LAG_TOL r(0). The cosines are formed a block of
+    SPECTRAL_BLOCK^2 entries at a time."""
+    for j, w in enumerate(weights):
+        var = float(w @ w)
+        if not abs(var - variances[j]) <= SPECTRAL_RESOLUTION_TOL * variances[j]:
+            return f"Var Y^({j}) = {var:.6g} against {variances[j]:.6g}"
+    power = (weights[0] ** 2)[:, None]
+    design = np.empty(lags.size)
+    step = max(1, SPECTRAL_BLOCK**2 // z.size)
+    for lo in range(0, lags.size, step):
+        phase = np.outer(lags[lo:lo + step], z)
+        np.cos(phase, out=phase)
+        design[lo:lo + step] = _gemm(phase, power)[:, 0]
+    error = np.abs(design - r_lags) / variances[0]
+    worst = int(np.argmax(error))
+    if not error[worst] <= SPECTRAL_LAG_TOL:
+        return (f"a row-0 covariance off by {error[worst]:.3g} r(0) at "
+                f"lag {lags[worst]:.6g}")
+    return None
+
+
+def _spectral_design(spec, times):
     """Mapped midpoint grid of the spectral integral at the requested times.
 
-    Returns (times, z, weights): the times as a float array, the panel
+    Returns (times, z, weights): the times as a float array, the N panel
     frequencies z, and weights[j] = amp * z^j, the panel amplitude of
     Y^(j). _spectral_rows turns these and the two white-noise vectors
     into the rows Y^(j).
 
     The frequencies are z_p = s tan(pi (u_p - 1/2)) at the midpoints
-    u_p = (p + 1/2) / n_panels of [0, 1] (Boyd 1987, J. Comput. Phys.
-    69:112), so the grid covers the whole real line and nothing is
-    truncated; amp_p^2 = (dz/du)(u_p) / (n_panels |P(z_p)|^2). The map
-    scale s is SPECTRAL_MAP_SCALE times the geometric mean of |zeta|. In
-    u every row's variance integrand z^(2j) / |P|^2 dz/du is smooth and
-    periodic, so the midpoint sum converges fast; the exact design
-    variance of each row (the sum of its squared weights) is held to
-    (-1)^j r^(2j)(0) within SPECTRAL_RESOLUTION_TOL, and a grid that
-    cannot resolve the density (roots many decades apart) raises
-    NotConverged.
+    u_p = (p + 1/2) / N of [0, 1] (Boyd 1987, J. Comput. Phys. 69:112),
+    so the grid covers the whole real line and nothing is truncated;
+    amp_p^2 = (dz/du)(u_p) / (N |P(z_p)|^2). The map scale s is
+    SPECTRAL_MAP_SCALE times the geometric mean of |zeta|. In u every
+    row's variance integrand z^(2j) / |P|^2 dz/du is smooth and
+    periodic, so the midpoint sum converges fast.
+
+    N is worked out from the model and the times. It starts at
+    SPECTRAL_PANELS and doubles until the grid passes two checks
+    (_design_gap): every row's exact design variance (the sum of its
+    squared weights) is within SPECTRAL_RESOLUTION_TOL of (-1)^j
+    r^(2j)(0), and row 0's design covariance is within SPECTRAL_LAG_TOL
+    r(0) of r at the requested lags (_checked_lags). The second catches
+    aliasing: the centre panels are pi s / N wide, so the design
+    covariance repeats with a period of about 2 N / s, which a span of
+    stiff roots can reach. Past SPECTRAL_MAX_PANELS, NotConverged names
+    the cap, the span and the map scale.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -593,22 +657,27 @@ def _spectral_design(spec, times, n_panels):
         if steps.min() <= 0 or (steps.max() - steps.min()) > 1e-9 * steps.max():
             raise ValueError("times must be uniformly increasing")
     s = SPECTRAL_MAP_SCALE * math.exp(np.log(np.abs(spec.roots)).mean())
-    u = (np.arange(n_panels) + 0.5) / n_panels
-    z = s * np.tan(math.pi * (u - 0.5))
-    dz_du = math.pi * (s + z**2 / s)
-    amp = np.sqrt(dz_du / (n_panels * abs_p_squared(spec, z)))
-    weights = amp * z[None, :] ** np.arange(spec.k + 1)[:, None]
     cov = residue_expansion(spec)
-    for j, w in enumerate(weights):
-        var = float(w @ w)
-        target = (-1.0) ** j * eval_r(cov, 2 * j, 0.0)
-        if not abs(var - target) <= SPECTRAL_RESOLUTION_TOL * target:
+    variances = [(-1.0) ** j * eval_r(cov, 2 * j, 0.0) for j in range(spec.k + 1)]
+    lags = _checked_lags(spec, times)
+    r_lags = eval_r(cov, 0, lags)
+    n_panels = SPECTRAL_PANELS
+    while True:
+        u = (np.arange(n_panels) + 0.5) / n_panels
+        z = s * np.tan(math.pi * (u - 0.5))
+        dz_du = math.pi * (s + z**2 / s)
+        amp = np.sqrt(dz_du / (n_panels * abs_p_squared(spec, z)))
+        weights = amp * z[None, :] ** np.arange(spec.k + 1)[:, None]
+        gap = _design_gap(z, weights, variances, lags, r_lags)
+        if gap is None:
+            return times, z, weights
+        if n_panels >= SPECTRAL_MAX_PANELS:
             raise NotConverged(
-                f"{n_panels} mapped midpoint panels (scale {s:.6g}) give "
-                f"Var Y^({j}) = {var:.6g} against {target:.6g}; the roots "
-                "span too many decades for the grid, increase n_panels"
+                f"{n_panels} mapped midpoint panels, the cap, at map scale "
+                f"{s:.6g} give {gap} over the span {lags[-1]:.6g}; the "
+                "grid cannot resolve this model over this span"
             )
-    return times, z, weights
+        n_panels *= 2
 
 
 def _gemm(a, b):
@@ -632,8 +701,8 @@ def _spectral_rows(design, xi_cos, xi_sin):
     Since cos/sin(theta + j pi/2) are cos/sin(theta) up to sign and swap,
     row j is cos(theta) @ (w_j a_j) + sin(theta) @ (w_j b_j) with
     (a_j, b_j) = (xi_cos, xi_sin) turned j quarter turns, (a, b) ->
-    (b, -a). xi_cos and xi_sin are (n_panels,) for one draw, with result
-    (k+1, T), or (m, n_panels) for m draws, with result (k+1, m, T).
+    (b, -a). xi_cos and xi_sin are (m, N) for m draws; the result is
+    (k+1, m, T).
 
     The sum runs over blocks of SPECTRAL_BLOCK panels, in order. For each
     block the turned weights of every row and draw form one
@@ -645,8 +714,6 @@ def _spectral_rows(design, xi_cos, xi_sin):
     thread count.
     """
     times, z, weights = design
-    single = xi_cos.ndim == 1
-    xi_cos, xi_sin = np.atleast_2d(xi_cos), np.atleast_2d(xi_sin)
     k1, m, size = len(weights), len(xi_cos), times.size
     rows = np.zeros((k1, m, size))
     flat = rows.reshape(k1 * m, size)
@@ -668,30 +735,45 @@ def _spectral_rows(design, xi_cos, xi_sin):
             np.cos(sin, out=cos)
             np.sin(sin, out=sin)
             flat[:, t:t + nt] += _gemm(turned, trig[:nt, :2 * nb].T)
-    return rows[:, 0] if single else rows
+    return rows
+
+
+def _spectral_draws(design, seed, streams):
+    """(k+1, len(streams), T) rows of one draw per substream: each
+    stream's generator draws xi_cos, then xi_sin, N standard normals
+    each."""
+    n_panels = design[1].size
+    xi_cos = np.empty((len(streams), n_panels))
+    xi_sin = np.empty((len(streams), n_panels))
+    for c, stream in enumerate(streams):
+        rng = _generator(seed, "spectral", stream)
+        rng.standard_normal(out=xi_cos[c])
+        rng.standard_normal(out=xi_sin[c])
+    return _spectral_rows(design, xi_cos, xi_sin)
 
 
 def sample_spectral(
     spec: RootSpec,
     times,
     seed: int,
-    n_panels: int = SPECTRAL_PANELS,
     stream: int = 0,
 ) -> SamplePath:
     """Synthesize the stack from its spectral representation.
 
     Y^(j)(t) is a cosine/sine integral against two independent white
     noises with amplitude 1/|P(z)|, over the whole real line. The
-    integral is discretized by n_panels midpoint panels of the map
+    integral is discretized by N midpoint panels of the map
     z = s tan(pi (u - 1/2)) (see _spectral_design), so each output is an
-    exact Gaussian linear combination of 2 * n_panels standard normals
-    and no time recursion occurs. Every row's variance matches
-    (-1)^j r^(2j)(0) to rounding for every k >= 0, or NotConverged is
-    raised. The panels widen towards the tails, so the design covariance
-    at large lags carries an aliasing error; at the default panel count
-    it stays below 1e-4 r(0) over 25 correlation times for every k >= 1
-    model the tests draw (about 3e-3 r(0) at k = 0, whose density decays
-    slowest).
+    exact Gaussian linear combination of 2 N standard normals and no
+    time recursion occurs. N is sized from the model and the span of
+    times: SPECTRAL_PANELS, doubled until every row's variance matches
+    (-1)^j r^(2j)(0) within SPECTRAL_RESOLUTION_TOL and row 0's design
+    covariance matches r(T) within SPECTRAL_LAG_TOL r(0) at the
+    requested lags, or NotConverged past SPECTRAL_MAX_PANELS. The
+    panels widen towards the tails, so the design covariance at large
+    lags carries an aliasing error; at 4096 panels it stays below 1e-4
+    r(0) over 25 correlation times for every k >= 1 model the tests
+    draw (about 3e-3 r(0) at k = 0, whose density decays slowest).
 
     The rows are summed over blocks of SPECTRAL_BLOCK times and panels
     (_spectral_rows), so besides its output the sampler holds one such
@@ -700,11 +782,8 @@ def sample_spectral(
     a single time).
     """
     times = np.asarray(times, dtype=float)
-    design = _spectral_design(spec, times, n_panels)
-    rng = _generator(seed, "spectral", stream)
-    xi_cos = rng.standard_normal(n_panels)
-    xi_sin = rng.standard_normal(n_panels)
-    values = _spectral_rows(design, xi_cos, xi_sin)
+    design = _spectral_design(spec, times)
+    values = _spectral_draws(design, seed, [stream])[:, 0]
     dt = float(times[1] - times[0]) if times.size > 1 else 1.0
     return SamplePath(dt=dt, values=values, seed=int(seed), method="spectral")
 
@@ -714,30 +793,25 @@ def spectral_replicates(
     times,
     n_replicates: int,
     seed: int,
-    n_panels: int = SPECTRAL_PANELS,
-    chunk: int = 256,
 ) -> np.ndarray:
     """Independent spectral draws, one substream per replicate.
 
     Returns an array of shape (n_replicates, k+1, len(times)). Replicate
-    r consumes the same substream as sample_spectral(..., stream=r) and
-    matches its values up to floating-point associativity in the matrix
-    products. The draws go through the same blocked sum as
-    sample_spectral, chunk replicates at a time.
+    r consumes the same substream as sample_spectral(..., stream=r), on
+    the same grid, and matches its values up to floating-point
+    associativity in the matrix products. The draws go through the same
+    blocked sum as sample_spectral, SPECTRAL_DRAW_BLOCK // N replicates
+    (at least one) at a time, so each of the two noise blocks holds
+    SPECTRAL_DRAW_BLOCK doubles whatever N the model needs.
     """
     times = np.asarray(times, dtype=float)
-    design = _spectral_design(spec, times, n_panels)
+    design = _spectral_design(spec, times)
+    chunk = max(1, SPECTRAL_DRAW_BLOCK // design[1].size)
     out = np.empty((n_replicates, spec.k + 1, times.size))
     for start in range(0, n_replicates, chunk):
         stop = min(start + chunk, n_replicates)
-        width = stop - start
-        xi_cos = np.empty((width, n_panels))
-        xi_sin = np.empty((width, n_panels))
-        for c in range(width):
-            rng = _generator(seed, "spectral", start + c)
-            xi_cos[c] = rng.standard_normal(n_panels)
-            xi_sin[c] = rng.standard_normal(n_panels)
-        out[start:stop] = _spectral_rows(design, xi_cos, xi_sin).transpose(1, 0, 2)
+        rows = _spectral_draws(design, seed, range(start, stop))
+        out[start:stop] = rows.transpose(1, 0, 2)
     return out
 
 

@@ -461,7 +461,7 @@ def check_empirical_covariance(
 ) -> CheckReport:
     """Empirical autocovariance of Y against the closed form.
 
-    lags are in time units and must sit on the path grid. Each lagged
+    lags are in time units, >= 0, and must sit on the path grid. Each lagged
     product mean is standardised by the model's exact standard error and
     mapped to a normal score through its exact skewness
     (product_mean_law, normal_score); both are reported in the detail.
@@ -474,6 +474,8 @@ def check_empirical_covariance(
     if lags is None:
         lags = tau * np.array([0.0, 0.5, 1.0, 2.0])
     lags = np.asarray(lags, dtype=float)
+    if not (lags >= 0).all():
+        raise ValueError(f"lags must be >= 0, got {lags}")
     y = path.values[0]
     n = y.size
     dt = path.dt
@@ -516,7 +518,6 @@ def check_partial_correlation(
     t_idx: int,
     u_idx: int,
     conditioning: str = "vector",
-    name: str | None = None,
 ) -> CheckReport:
     """Sample partial correlation of Y(s), Y(u) given the state at t.
 
@@ -564,14 +565,14 @@ def check_partial_correlation(
     raw = abs(pcorr) * math.sqrt(reps)
     if conditioning == "vector":
         return _report(
-            name or "markov_partial_correlation",
+            "markov_partial_correlation",
             raw,
             STAT_BAND,
             f"|pcorr| = {abs(pcorr):.4f}, |pcorr| sqrt(R) = {raw:.2f} "
             f"conditioning on the full stack",
         )
     return _report(
-        name or "markov_scalar_negative_control",
+        "markov_scalar_negative_control",
         -raw,
         -STAT_BAND,
         f"|pcorr| sqrt(R) = {raw:.2f} conditioning on Y(t) alone; "

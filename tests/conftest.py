@@ -39,6 +39,15 @@ def make_random_spec(rng: np.random.Generator, k: int | None = None,
         return model.validate(roots, scale)
 
 
+def make_stiff_spec(rng: np.random.Generator, spread: float,
+                    k: int) -> model.RootSpec:
+    """Stiff spec: k + 1 purely imaginary roots, 1i and spread * 1i
+    (only 1i at k = 0) and the rest log-uniform between them, scale 1."""
+    mags = [1.0, spread][:k + 1]
+    mags += list(np.exp(rng.uniform(0.0, np.log(spread), max(0, k - 1))))
+    return model.validate([complex(0.0, m) for m in mags], 1.0)
+
+
 @pytest.fixture
 def spec_k0():
     return model.validate([1j], 1.0)

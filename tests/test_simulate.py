@@ -33,7 +33,11 @@ from carkov.simulate import (
     SCAN_BLOCK,
     SCAN_CHUNK_BLOCKS,
     SPECTRAL_BLOCK,
+    SPECTRAL_DRAW_BLOCK,
     SPECTRAL_MAP_SCALE,
+    SPECTRAL_MAX_PANELS,
+    SPECTRAL_PANELS,
+    SPECTRAL_RESOLUTION_TOL,
     _generator,
     _psd_sqrt,
     _recursion,
@@ -46,7 +50,7 @@ from carkov.simulate import (
     write_metadata,
 )
 
-from conftest import make_random_spec
+from conftest import make_random_spec, make_stiff_spec
 
 PI = math.pi
 
@@ -301,6 +305,12 @@ class TestSampleExact:
         assert path.values.tobytes() == whole.tobytes()
         assert again.values.tobytes() == whole.tobytes()
 
+    def test_negative_step_count_is_refused(self, spec_k2):
+        system, law = assemble(spec_k2)
+        with pytest.raises(ValueError, match="n_steps"):
+            sample_exact(system, law, 0.05, -1, seed=1)
+        assert sample_exact(system, law, 0.05, 0, seed=1).n_points == 1
+
     def test_stationary_variance(self, spec_k2):
         system, law = assemble(spec_k2)
         path = sample_exact(system, law, 0.05, 200_000, seed=77)
@@ -321,6 +331,12 @@ class TestSampleEuler:
         with pytest.raises(UnstableStep) as err:
             sample_euler(system, law, 2.1, 10, seed=1)
         assert "stable below" in str(err.value)
+
+    def test_negative_step_count_is_refused(self, spec_k2):
+        system, law = assemble(spec_k2)
+        with pytest.raises(ValueError, match="n_steps"):
+            sample_euler(system, law, 0.05, -1, seed=1)
+        assert sample_euler(system, law, 0.05, 0, seed=1).n_points == 1
 
     def test_matches_drawing_every_shock_first(self, spec_k2):
         # from a cold and from a filled operand memo
@@ -388,15 +404,16 @@ def mapped_grid(spec, n):
     return z, amp
 
 
-def weights_and_lag_error(spec, cov):
-    """Row weights of the design, and the largest |design covariance - r|
-    / r(0) of row 0 over lags 0..25 tau on a 0.25 tau grid."""
+def design_lag_error(spec, cov):
+    """Panel frequencies and row weights of the design on 0..25 tau at
+    0.25 tau spacing, and the largest |design covariance - r| / r(0) of
+    row 0 over those lags."""
     tau = 1.0 / min(z.imag for z in spec.roots)
     lags = 0.25 * tau * np.arange(101)
-    lags, z, weights = _spectral_design(spec, lags, 4096)
+    lags, z, weights = _spectral_design(spec, lags)
     design = np.cos(np.outer(lags, z)) @ weights[0] ** 2
     error = np.abs(design - eval_r(cov, 0, lags)).max() / eval_r(cov, 0, 0.0)
-    return weights, error
+    return z, weights, error
 
 
 class TestSpectral:
@@ -422,7 +439,7 @@ class TestSpectral:
         # sum_p w_jp^2 (cos^2 + sin^2) at every t. The mapped grid covers
         # the whole line, so every row matches (-1)^j r^(2j)(0).
         cov = residue_expansion(spec_k2)
-        times, z, weights = _spectral_design(spec_k2, [0.0, 0.7], 4096)
+        times, z, weights = _spectral_design(spec_k2, [0.0, 0.7])
         assert times.shape == (2,) and z.shape == (4096,)
         assert weights.shape == (3, 4096)
         cos_t, sin_t = np.cos(np.outer(times, z)), np.sin(np.outer(times, z))
@@ -443,7 +460,8 @@ class TestSpectral:
             spec = make_random_spec(rng, k)
             cov = residue_expansion(spec)
             mom = moments(cov)
-            weights, error = weights_and_lag_error(spec, cov)
+            z, weights, error = design_lag_error(spec, cov)
+            assert z.size == SPECTRAL_PANELS
             bounds = moment_bounds(mom)
             for j in range(k + 1):
                 target = (-1) ** j * mom.even_moments[2 * j]
@@ -456,7 +474,8 @@ class TestSpectral:
         # 2 pi / dz; for this k = 1 model the truncated uniform grid had
         # period 27.4 tau and an error of 0.12 r(0) within 25 tau
         spec = make_random_spec(np.random.default_rng(2026), 1)
-        _weights, error = weights_and_lag_error(spec, residue_expansion(spec))
+        z, _weights, error = design_lag_error(spec, residue_expansion(spec))
+        assert z.size == SPECTRAL_PANELS
         assert error <= 1e-4
 
     def test_memory_is_the_output_and_one_block(self, spec_k2):
@@ -482,7 +501,8 @@ class TestSpectral:
         # 1/(1 + z^2) decays slowest of all; its variance is still exact
         path = sample_spectral(spec_k0, np.arange(4) * 0.5, seed=1)
         assert path.values.shape == (1, 4)
-        _times, _z, weights = _spectral_design(spec_k0, np.zeros(1), 4096)
+        _times, z, weights = _spectral_design(spec_k0, np.zeros(1))
+        assert z.size == SPECTRAL_PANELS
         assert weights[0] @ weights[0] == pytest.approx(PI, rel=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
@@ -534,15 +554,91 @@ class TestSpectral:
         assert abs(emp - target) < 4 * se
         assert abs((reps[:, 0, 0] ** 2).mean() - r0) < 4 * r0 / math.sqrt(1000)
 
-    def test_unresolvable_grid_raises(self):
-        # roots six decades apart: the panels near z = 0 are wider than
-        # the 1e-3 peak, so row 0 gets 44 % of r(0). That must be
-        # refused, not returned as a mis-scaled path.
+    def test_six_decades_resolve(self):
+        # roots six decades apart: at 4096 panels those near z = 0 are
+        # wider than the 1e-3 peak and row 0 gets 44 % of r(0); the grid
+        # doubles to 32,768 panels, where every row meets the tolerance
         spec = model.validate([1e-3j, 10j, 1e3j], 1.0)
-        with pytest.raises(NotConverged, match=r"Var Y\^\(0\)"):
+        cov = residue_expansion(spec)
+        times = np.arange(4) * 0.5
+        _times, z, weights = _spectral_design(spec, times)
+        assert z.size == 32768
+        for j, w in enumerate(weights):
+            target = (-1) ** j * eval_r(cov, 2 * j, 0.0)
+            assert abs(w @ w - target) <= SPECTRAL_RESOLUTION_TOL * target
+        path = sample_spectral(spec, times, seed=1)
+        assert path.values.shape == (3, 4) and np.isfinite(path.values).all()
+
+    def test_unresolvable_grid_raises(self):
+        # roots eight decades apart: even at the cap the panels near
+        # z = 0 are wider than the 1e-4 peak, so row 0 gets 91 % of r(0).
+        # That must be refused, not returned as a mis-scaled path.
+        spec = model.validate([1e-4j, 10j, 1e4j], 1.0)
+        with pytest.raises(NotConverged, match=r"Var Y\^\(0\)") as info:
             sample_spectral(spec, np.arange(4) * 0.5, seed=1)
+        message = str(info.value)
+        assert f"{SPECTRAL_MAX_PANELS} mapped midpoint panels" in message
+        assert "map scale 8.61774" in message and "span 1.5" in message
         with pytest.raises(NotConverged):
             spectral_replicates(spec, np.arange(4) * 0.5, 2, seed=1)
+
+    def test_panels_grow_with_the_span(self):
+        # roots 1i and 1e4 i: the centre panels repeat row 0's
+        # covariance with a period of about 2 N / s, s = 400, which
+        # 4096 panels keep beyond 2.5 tau but not beyond 25 tau
+        spec = model.validate([1j, 1e4j], 1.0)
+        assert _spectral_design(spec, 0.25 * np.arange(11))[1].size == 4096
+        assert _spectral_design(spec, 0.25 * np.arange(101))[1].size == 8192
+
+    def test_aliasing_span_raises(self):
+        # roots 1i and 1e6 i over 70 tau: at the cap the period 2 N / s
+        # is 65.5 tau, where row 0's design covariance is off by most
+        # of r(0); over 20 tau, 65,536 panels serve
+        spec = model.validate([1j, 1e6j], 1.0)
+        assert _spectral_design(spec, 0.5 * np.arange(41))[1].size == 65536
+        with pytest.raises(NotConverged, match=r"row-0 covariance off by .* "
+                           r"r\(0\) at lag 66 over the span 70"):
+            _spectral_design(spec, np.arange(71.0))
+
+    def test_stiff_population_lags(self):
+        # purely imaginary roots log-uniform on [1, S] i, 3 models per
+        # (S, k): at 4096 panels row 0's design covariance was off by up
+        # to r(0) within 25 tau on S = 1e3 (k = 2, 3) and S = 1e4
+        # (k = 1, 2, 3, 5). The grid now doubles until the requested
+        # lags are resolved, or refuses.
+        rng = np.random.default_rng(3)
+        sizes = []
+        for spread in (1e2, 1e3, 1e4):
+            for k in (0, 1, 2, 3, 5):
+                for _ in range(3):
+                    spec = make_stiff_spec(rng, spread, k)
+                    try:
+                        z, _weights, error = design_lag_error(
+                            spec, residue_expansion(spec))
+                    except NotConverged:
+                        continue
+                    assert error <= 1e-2, (spread, k, z.size)
+                    sizes.append(z.size)
+        assert max(sizes) > SPECTRAL_PANELS
+
+    def test_replicate_memory_at_a_large_grid(self):
+        # 64 replicates at the six-decade model's 32,768 panels: the
+        # draw blocks hold SPECTRAL_DRAW_BLOCK // 32,768 = 32 replicates,
+        # 8 MiB each, where a fixed 256-replicate chunk would hold all 64
+        # in two 16 MiB blocks. The 3 MiB of slack holds the design
+        # (z and three weight rows, 1 MiB), one block of the sum (the
+        # turned weights, 384 KiB) and numpy's buffers.
+        spec = model.validate([1e-3j, 10j, 1e3j], 1.0)
+        times = np.arange(4) * 0.5
+        spectral_replicates(spec, times, 1, seed=1)
+        tracemalloc.start()
+        try:
+            reps = spectral_replicates(spec, times, 64, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budget = reps.nbytes + 2 * SPECTRAL_DRAW_BLOCK * 8 + 3 * 2**20
+        assert peak <= budget, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestPathIO:

@@ -358,6 +358,13 @@ class TestEmpiricalCovariance:
         with pytest.raises(ValueError):
             check_empirical_covariance(path, cov, lags=[0.3])
 
+    def test_negative_lag(self, spec_k0):
+        system, law = assemble(spec_k0)
+        path = sample_exact(system, law, 0.5, 60_000, seed=3)
+        cov = residue_expansion(spec_k0)
+        with pytest.raises(ValueError, match="lags"):
+            check_empirical_covariance(path, cov, lags=[-0.5])
+
 
 class TestPartialCorrelation:
     @staticmethod
