@@ -9,11 +9,13 @@ count the sampler sizes from the model and the requested span. Agreement
 between their empirical covariances and the closed form is the package's
 main end-to-end consistency argument.
 
-All randomness flows through counter-based Philox generators keyed by
-(seed, method, stream), so different methods never share a stream and
-any replicate can be regenerated in isolation. The verification suite
-samples its exact path on stream 0 and draws its Markov probe's
-replicate states as one batch from the (seed, "exact", 1) substream.
+All randomness flows through SFC64 generators (Doty-Humphrey's Small
+Fast Chaotic generator, as numpy ships it) on the SeedSequence spawn
+key of (seed, method, stream), so different methods never share a
+stream and any replicate can be regenerated in isolation. The
+verification suite samples its exact path on stream 0 and draws its
+Markov probe's replicate states as one batch from the (seed, "exact",
+1) substream.
 """
 
 from __future__ import annotations
@@ -65,18 +67,51 @@ class SamplePath:
 
 
 def _generator(seed: int, method: str, stream: int = 0) -> np.random.Generator:
-    """Philox generator on the (seed, method, stream) substream."""
+    """SFC64 generator on the (seed, method, stream) substream.
+
+    The SeedSequence spawn key (method code, stream) addresses the
+    substream, so any stream can be regenerated without the others.
+    """
     ss = np.random.SeedSequence(
         entropy=int(seed), spawn_key=(_METHOD_CODES[method], int(stream))
     )
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
-def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Factor F = U diag(sqrt(w)) of a PSD matrix M = U diag(w) U^T, so
-    that F @ F.T = M; rounding-negative eigenvalues are clipped to 0."""
-    w, u = np.linalg.eigh((matrix + matrix.T) / 2.0)
-    return u * np.sqrt(np.clip(w, 0.0, None))
+def _variance_scale(covariance: np.ndarray) -> np.ndarray:
+    """Standard deviations diag(covariance)^(1/2), the scale of the state
+    in which the samplers' factors are taken.
+
+    Raises FactorizationFailure if a variance is not positive."""
+    variances = np.diag(covariance)
+    if not (variances > 0).all():
+        raise FactorizationFailure(
+            f"stationary variances {variances} are not all positive"
+        )
+    return np.sqrt(variances)
+
+
+def _psd_sqrt(scaled: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Factor F of M = diag(scale) scaled diag(scale), so that F @ F.T = M.
+
+    F = diag(scale) U diag(sqrt(w)) for the eigendecomposition
+    U diag(w) U^T of the PSD matrix scaled, whose rounding-negative
+    eigenvalues are clipped to 0. Taken in the variance-scaled state,
+    eigh's error is about u in every entry of scaled, so F @ F.T errs by
+    about u scale_i scale_j in entry (i, j) rather than by u ||M||, which
+    would swamp the rows of small variance.
+    """
+    w, u = np.linalg.eigh((scaled + scaled.T) / 2.0)
+    return scale[:, None] * (u * np.sqrt(np.clip(w, 0.0, None)))
+
+
+def _stationary_factor(covariance: np.ndarray) -> np.ndarray:
+    """Factor F with F @ F.T = covariance, from which the samplers draw
+    the stationary initial state F xi; taken in the variance-scaled
+    state (_psd_sqrt). Raises FactorizationFailure if a variance is not
+    positive."""
+    scale = _variance_scale(covariance)
+    return _psd_sqrt(covariance / np.outer(scale, scale), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +357,10 @@ def _pade13(a: np.ndarray) -> np.ndarray:
 
 
 def _van_loan(system: ItoSystem, scale: np.ndarray, dt: float):
-    """(phi, Q, computed spectral radius of phi) at dt, from the Van Loan
-    block exponential in the state scaled by scale (see
-    exact_step_operator)."""
+    """(phi, Q_scaled, computed spectral radius of phi) at dt, from the
+    Van Loan block exponential in the state scaled by scale (see
+    exact_step_operator): phi is unscaled, and Q_scaled is Q in the
+    scaled state, D^-1 Q D^-1 with D = diag(scale)."""
     d = scale.size
     drift = system.companion * scale / scale[:, None]
     noise = system.noise_vector / scale
@@ -342,7 +378,6 @@ def _van_loan(system: ItoSystem, scale: np.ndarray, dt: float):
         q = q + phi @ q @ phi.T
         phi = phi @ phi
     phi = phi * scale[:, None] / scale
-    q = q * np.outer(scale, scale)
     return phi, q, np.abs(np.linalg.eigvals(phi)).max()
 
 
@@ -393,17 +428,14 @@ def exact_step_operator(
     its 1-norm within range, and the pair is then doubled s times
     (Q <- Q + phi Q phi^T, phi <- phi^2). Q is thus a sum of congruences
     of a positive semidefinite seed and never the difference
-    Sigma - phi Sigma phi^T, which cancels at small dt. L is a factor of
-    Q in the unscaled state.
+    Sigma - phi Sigma phi^T, which cancels at small dt. L = D F, with F
+    a factor of Q in the scaled state (_psd_sqrt), so the error of
+    L @ L.T in entry (i, j) is about u D_ii D_jj: Q is graded, and a
+    factor of the unscaled Q would err by u ||Q|| in its smallest rows.
     """
     if not (0 < dt < math.inf):
         raise ValueError("dt must be positive and finite")
-    variances = np.diag(law.covariance)
-    if not (variances > 0).all():
-        raise FactorizationFailure(
-            f"stationary variances {variances} are not all positive"
-        )
-    scale = np.sqrt(variances)
+    scale = _variance_scale(law.covariance)
     phi, q, radius = _van_loan(system, scale, dt)
     if not radius < 1.0:
         usable = f"and no dt up to 2^{_MAX_DOUBLINGS} times larger does"
@@ -417,7 +449,7 @@ def exact_step_operator(
             f"{radius:.17g} >= 1; this dt is below what double precision "
             f"resolves for the model, {usable}"
         )
-    return phi, _psd_sqrt(q)
+    return phi, _psd_sqrt(q, scale)
 
 
 # 16 entries: one run_suite uses its path dt and up to four probe gaps,
@@ -429,11 +461,12 @@ def _recursion_operands(method, dt, drift_bytes, diffusion, cov_bytes):
 
     For "exact", (step, noise_map) is exact_step_operator's (phi, L); for
     "euler", (I + A dt, b sqrt(dt) e_k), once I + A dt has passed the
-    radius check. The Sigma factor is _psd_sqrt of the covariance, which
-    draws the stationary initial state. Keyed on the operands' bytes, so
-    a covariance changed in place gets fresh operands; the errors
-    (StepTooSmall, UnstableStep, FactorizationFailure, ValueError) are
-    not cached and raise on every call.
+    radius check. The Sigma factor is _stationary_factor of the
+    covariance, which draws the stationary initial state. Keyed on the
+    operands' bytes, so a covariance changed in place gets fresh
+    operands; the errors (StepTooSmall, UnstableStep,
+    FactorizationFailure, ValueError) are not cached and raise on every
+    call.
     """
     drift = np.frombuffer(drift_bytes).copy()
     d = drift.size
@@ -452,7 +485,7 @@ def _recursion_operands(method, dt, drift_bytes, diffusion, cov_bytes):
                 f"stable below dt = {euler_step_bound(system):.6g}"
             )
         noise_map = (system.noise_vector * math.sqrt(dt)).reshape(d, 1)
-    operands = step, noise_map, _psd_sqrt(covariance)
+    operands = step, noise_map, _stationary_factor(covariance)
     for a in operands:
         a.flags.writeable = False
     return operands
@@ -532,6 +565,9 @@ def sample_euler(
     UnstableStep
         If I + A dt has spectral radius >= 1. The message reports the
         stable dt range.
+    FactorizationFailure
+        If the law has a variance that is not positive, so the state
+        cannot be scaled for the stationary factor.
     """
     if not (dt > 0):
         raise ValueError("dt must be positive")
@@ -818,12 +854,28 @@ def spectral_replicates(
 # ---------------------------------------------------------------------------
 # path export
 
+#: rows of the path that write_csv formats with one % operation
+CSV_BLOCK = 4096
+
+
 def write_csv(sample: SamplePath, path) -> None:
-    """Write the path as CSV with header t, y0, ..., yk."""
-    header = "t," + ",".join(f"y{j}" for j in range(sample.k + 1))
-    table = np.column_stack([sample.times, sample.values.T])
-    np.savetxt(path, table, delimiter=",", header=header, comments="",
-               fmt="%.17g")
+    """Write the path as CSV with header t, y0, ..., yk.
+
+    Every value is written as %.17g, which reads back to the same
+    float64, and the bytes are those of np.savetxt with that format and
+    a "," delimiter. The rows are formatted CSV_BLOCK at a time, each
+    block by one % over its values, so no (n+1, k+2) table is formed.
+    """
+    n, cols = sample.n_points, sample.k + 2
+    row_fmt = ",".join(["%.17g"] * cols) + "\n"
+    block = np.empty((min(CSV_BLOCK, n), cols))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("t," + ",".join(f"y{j}" for j in range(sample.k + 1)) + "\n")
+        for lo in range(0, n, CSV_BLOCK):
+            rows = block[:min(CSV_BLOCK, n - lo)]
+            rows[:, 0] = sample.dt * np.arange(lo, lo + len(rows))
+            rows[:, 1:] = sample.values[:, lo:lo + len(rows)].T
+            fh.write((row_fmt * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def write_metadata(sample: SamplePath, model_config: dict, path) -> None:

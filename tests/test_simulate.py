@@ -30,6 +30,7 @@ from carkov.errors import (
 from carkov.markov import StationaryLaw
 from carkov.model import abs_p_squared
 from carkov.simulate import (
+    CSV_BLOCK,
     SCAN_BLOCK,
     SCAN_CHUNK_BLOCKS,
     SPECTRAL_BLOCK,
@@ -43,6 +44,7 @@ from carkov.simulate import (
     _recursion,
     _recursion_operands,
     _spectral_design,
+    _stationary_factor,
     ar1_recursion,
     euler_step_bound,
     exact_step_operator,
@@ -114,6 +116,21 @@ class TestExactStepOperator:
         _, L = exact_step_operator(system, law, dt)
         q = van_loan_innovation(system, dt)
         assert (L @ L.T)[-1, -1] == pytest.approx(q[-1, -1], rel=1e-12, abs=0.0)
+
+    def test_k10_scaled_lyapunov_residual(self):
+        # L is factored in the variance-scaled state, so the rows of small
+        # variance keep their digits; a factor of the unscaled Q leaves
+        # 1.1e-8 on these models
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            spec = make_random_spec(rng, 10)
+            system, law = assemble(spec)
+            tau = 1.0 / min(z.imag for z in spec.roots)
+            phi, L = exact_step_operator(system, law, tau / 50)
+            sigma = law.covariance
+            d = np.sqrt(np.diag(sigma))
+            resid = (sigma - phi @ sigma @ phi.T - L @ L.T) / np.outer(d, d)
+            assert np.abs(resid).max() <= 1e-11
 
     def test_factorization_failure(self, spec_k0):
         system, law = assemble(spec_k0)
@@ -300,7 +317,7 @@ class TestSampleExact:
         again = sample_exact(system, law, 0.05, n, seed=8, stream=2)
         phi, innovation = exact_step_operator(system, law, 0.05)
         rng = _generator(8, "exact", 2)
-        z0 = _psd_sqrt(law.covariance) @ rng.standard_normal(3)
+        z0 = _stationary_factor(law.covariance) @ rng.standard_normal(3)
         whole = ar1_recursion(phi, innovation, z0, rng.standard_normal((n, 3)))
         assert path.values.tobytes() == whole.tobytes()
         assert again.values.tobytes() == whole.tobytes()
@@ -346,7 +363,7 @@ class TestSampleEuler:
         path = sample_euler(system, law, dt, n, seed=8)
         again = sample_euler(system, law, dt, n, seed=8)
         rng = _generator(8, "euler")
-        z0 = _psd_sqrt(law.covariance) @ rng.standard_normal(3)
+        z0 = _stationary_factor(law.covariance) @ rng.standard_normal(3)
         whole = ar1_recursion(
             np.eye(3) + system.companion * dt,
             (system.noise_vector * math.sqrt(dt)).reshape(3, 1),
@@ -662,6 +679,24 @@ class TestPathIO:
         back = np.loadtxt(f, delimiter=",", skiprows=1)
         np.testing.assert_array_equal(back[:, 1], path.values[0])
 
+    @pytest.mark.parametrize("spec_name", ["spec_k0", "spec_k2"])
+    @pytest.mark.parametrize("method", ["exact", "euler", "spectral"])
+    def test_csv_bytes_are_savetxt_bytes(self, tmp_path, request, spec_name,
+                                         method):
+        spec = request.getfixturevalue(spec_name)
+        system, law = assemble(spec)
+        if method == "spectral":
+            path = sample_spectral(spec, 0.05 * np.arange(301), seed=3)
+        else:
+            sampler = sample_exact if method == "exact" else sample_euler
+            path = sampler(system, law, 0.01, 2 * CSV_BLOCK + 5, seed=3)
+        f, ref = tmp_path / "p.csv", tmp_path / "ref.csv"
+        write_csv(path, f)
+        header = "t," + ",".join(f"y{j}" for j in range(spec.k + 1))
+        np.savetxt(ref, np.column_stack([path.times, path.values.T]),
+                   delimiter=",", header=header, comments="", fmt="%.17g")
+        assert f.read_bytes() == ref.read_bytes()
+
     def test_metadata(self, tmp_path, spec_k0):
         system, law = assemble(spec_k0)
         path = sample_exact(system, law, 0.1, 5, seed=42)
@@ -678,7 +713,7 @@ class TestPathIO:
 
 class TestGeneratorStreams:
     def test_methods_are_decoupled(self):
-        # same seed, different methods -> different Philox streams
+        # same seed, different methods -> different substreams
         a = _generator(0, "exact").standard_normal(4)
         b = _generator(0, "euler").standard_normal(4)
         c = _generator(0, "spectral").standard_normal(4)
@@ -686,7 +721,25 @@ class TestGeneratorStreams:
         assert not np.allclose(a, c)
         assert not np.allclose(b, c)
 
+    # first four normals of _generator(0, method, 0): SFC64 output does
+    # not depend on the platform, so any change of stream fails here
+    @pytest.mark.parametrize("method, first", [
+        ("exact", [-1.2540797385549642, -0.057374060490056056,
+                   0.1831656089569397, -0.25374987556924999]),
+        ("euler", [2.0120363328572557, 0.11570805420848979,
+                   1.310189154254402, -0.71064340012794924]),
+        ("spectral", [-0.63504237903489857, 1.2047093428564883,
+                      0.15289391376178632, 0.10287930683660257]),
+    ])
+    def test_streams_are_pinned(self, method, first):
+        draws = _generator(0, method, 0).standard_normal(4)
+        assert draws.tolist() == first
+
     def test_psd_sqrt(self):
         m = np.array([[2.0, 1.0], [1.0, 2.0]])
-        s = _psd_sqrt(m)
-        np.testing.assert_allclose(s @ s.T, m, rtol=1e-12)
+        scale = np.array([0.5, 3.0])
+        s = _psd_sqrt(m, scale)
+        np.testing.assert_allclose(s @ s.T, m * np.outer(scale, scale),
+                                   rtol=1e-12)
+        f = _stationary_factor(m)
+        np.testing.assert_allclose(f @ f.T, m, rtol=1e-12)
