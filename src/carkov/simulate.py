@@ -46,6 +46,9 @@ class SamplePath:
 
     values has one row per derivative order (k+1 rows) and one column per
     grid point; dt is the grid spacing, seed and method record provenance.
+    Every sampler stores the path time-major: values is the (k+1, n)
+    transpose view of a C-ordered (n, k+1) buffer, so values.T[m] (the
+    state at grid point m) is contiguous and a row values[j] is strided.
     """
 
     dt: float
@@ -190,24 +193,26 @@ def _scan_chunk(shock_rows, carry, toeplitz_t, powers_t, out):
 
     shock_rows holds one block's w shock rows per row, carry is the state
     before the first block, and toeplitz_t and powers_t are the tables of
-    _scan_tables cut to w steps. Writes the (d, blocks * w) states into
-    out and returns a copy of the last one. Only the blocks' local ends
-    (the last d columns of the Toeplitz product) are formed for the whole
-    chunk; the states are formed SCAN_SLICE_BLOCKS blocks at a time,
-    local part plus carried part, and written straight into out.
+    _scan_tables cut to w steps. out is the C-contiguous (blocks * w, d)
+    time-major stretch of the path that the states go to; returns a copy
+    of the last one. Only the blocks' local ends (the last d columns of
+    the Toeplitz product) are formed for the whole chunk. Seen as
+    (blocks, w d), out has one block's states per row, the layout of the
+    Toeplitz product itself: SCAN_SLICE_BLOCKS rows at a time the product
+    is written straight into out and the carried part added in place.
     """
     d = carry.shape[0]
-    width = toeplitz_t.shape[1] // d
     starts = np.empty((len(shock_rows), d))
     starts[0] = carry
     starts[1:] = shock_rows[:-1] @ toeplitz_t[:, -d:]
     _doubling_scan(starts, powers_t[:, -d:])
+    block_rows = out.reshape(len(shock_rows), -1)
     for lo in range(0, len(shock_rows), SCAN_SLICE_BLOCKS):
         hi = min(lo + SCAN_SLICE_BLOCKS, len(shock_rows))
-        states = shock_rows[lo:hi] @ toeplitz_t
+        states = block_rows[lo:hi]
+        np.matmul(shock_rows[lo:hi], toeplitz_t, out=states)
         states += starts[lo:hi] @ powers_t
-        out[:, lo * width:hi * width] = states.reshape(-1, d).T
-    return out[:, -1].copy()
+    return out[-1].copy()
 
 
 def ar1_recursion(step, noise_map, z0, shocks, out=None):
@@ -223,9 +228,11 @@ def ar1_recursion(step, noise_map, z0, shocks, out=None):
         Initial state.
     shocks : (n, q) array
         One row per step.
-    out : (d, n+1) float array, optional
+    out : (d, n+1) float64 array, optional
         Where to write the path, for instance a view into a longer one;
-        a new array when omitted.
+        its transpose out.T must be C-contiguous, so out is the
+        state-major view of a time-major (n+1, d) buffer, the layout of
+        every sampled path. A new such array when omitted.
 
     Returns
     -------
@@ -236,8 +243,8 @@ def ar1_recursion(step, noise_map, z0, shocks, out=None):
     ------
     ValueError
         If an operand has the wrong number of dimensions or the shapes
-        disagree, if out is not a (d, n+1) float64 array, or if step has
-        spectral radius >= 1.
+        disagree, if out is not a (d, n+1) float64 array whose transpose
+        is C-contiguous, or if step has spectral radius >= 1.
 
     Notes
     -----
@@ -255,10 +262,12 @@ def ar1_recursion(step, noise_map, z0, shocks, out=None):
 
     The path is walked in chunks of SCAN_CHUNK_BLOCKS blocks, carrying
     the last state from one to the next. Within a chunk only the local
-    ends, one state per block, are formed at once; the states themselves
-    are formed and written into out SCAN_SLICE_BLOCKS blocks at a time
-    (_scan_chunk). So the temporaries stay below one chunk of states
-    whatever the path length. The tables and the radius check depend
+    ends, one state per block, are formed at once. The path is stored
+    time-major, so a block's states are contiguous in it, in the order
+    of one row of the Toeplitz product: the product is written straight
+    into the path SCAN_SLICE_BLOCKS blocks at a time and the carried part
+    added in place (_scan_chunk). So the temporaries stay below one chunk
+    of states whatever the path length, and no state is copied. The tables and the radius check depend
     only on step and noise_map and are built once per pair (see
     _scan_tables).
     """
@@ -273,15 +282,17 @@ def ar1_recursion(step, noise_map, z0, shocks, out=None):
     if step.shape != (d, d) or z0.shape != (d,) or shocks.shape[1] != q:
         raise ValueError("inconsistent kernel operand shapes")
     if out is None:
-        out = np.empty((d, n + 1))
+        out = np.empty((n + 1, d)).T
     elif not isinstance(out, np.ndarray) or out.shape != (d, n + 1) \
-            or out.dtype != np.float64:
-        raise ValueError(f"out must be a ({d}, {n + 1}) float64 array")
+            or out.dtype != np.float64 or not out.T.flags.c_contiguous:
+        raise ValueError(f"out must be a ({d}, {n + 1}) float64 array "
+                         "whose transpose is C-contiguous")
     toeplitz_t, powers_t = _scan_tables(
         step.tobytes(), noise_map.tobytes(), d, q, SCAN_BLOCK
     )
 
     out[:, 0] = z0
+    rows = out.T  # time-major: row m is z_m
     carry, pos = z0, 0
     while pos < n:
         width = min(SCAN_BLOCK, n - pos)
@@ -292,7 +303,7 @@ def ar1_recursion(step, noise_map, z0, shocks, out=None):
             carry,
             toeplitz_t[:width * q, :width * d],
             powers_t[:, :width * d],
-            out[:, pos + 1:pos + 1 + span],
+            rows[pos + 1:pos + 1 + span],
         )
         pos += span
     return out
@@ -302,7 +313,9 @@ def _draw_path(step, noise_map, z0, n_steps, rng):
     """(d, n_steps+1) path of the recursion from z0, with standard normal
     shocks drawn from rng one scan chunk at a time.
 
-    The chunks are the scan's own (SCAN_CHUNK_BLOCKS blocks of SCAN_BLOCK
+    The path is one C-ordered (n_steps+1, d) buffer, returned as its
+    (d, n_steps+1) transpose, into which the scan writes every state. The
+    chunks are the scan's own (SCAN_CHUNK_BLOCKS blocks of SCAN_BLOCK
     steps) and the draws come in the stream's order, so the path is the
     one that drawing every shock first would give, bit for bit, while
     only one chunk's shocks are held at a time: each chunk is drawn into
@@ -310,16 +323,16 @@ def _draw_path(step, noise_map, z0, n_steps, rng):
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    out = np.empty((step.shape[0], n_steps + 1))
-    out[:, 0] = z0
+    rows = np.empty((n_steps + 1, step.shape[0]))
+    rows[0] = z0
     chunk = SCAN_BLOCK * SCAN_CHUNK_BLOCKS
     shocks = np.empty((min(chunk, n_steps), noise_map.shape[1]))
     for pos in range(0, n_steps, chunk):
         span = min(chunk, n_steps - pos)
         rng.standard_normal(out=shocks[:span])
-        ar1_recursion(step, noise_map, out[:, pos], shocks[:span],
-                      out=out[:, pos:pos + span + 1])
-    return out
+        ar1_recursion(step, noise_map, rows[pos], shocks[:span],
+                      out=rows[pos:pos + span + 1].T)
+    return rows.T
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +832,8 @@ def sample_spectral(
     """
     times = np.asarray(times, dtype=float)
     design = _spectral_design(spec, times)
-    values = _spectral_draws(design, seed, [stream])[:, 0]
+    rows = _spectral_draws(design, seed, [stream])[:, 0]
+    values = np.ascontiguousarray(rows.T).T  # time-major, as every path
     dt = float(times[1] - times[0]) if times.size > 1 else 1.0
     return SamplePath(dt=dt, values=values, seed=int(seed), method="spectral")
 
