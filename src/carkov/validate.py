@@ -384,48 +384,66 @@ def _fft_length(n: int) -> int:
 
 def product_mean_law(cov: CovarianceModel, dt: float, idx: int,
                      m: int) -> tuple[float, float]:
-    """(standard error, skewness) of the mean of m products y_i y_{i+idx}.
+    """(standard error, skewness) of the mean of m products y_i y_{i+idx};
+    product_mean_laws for one lag."""
+    return product_mean_laws(cov, dt, [idx], [m])[0]
+
+
+def product_mean_laws(cov: CovarianceModel, dt: float, idxs,
+                      ms) -> list[tuple[float, float]]:
+    """(standard error, skewness) of the mean of ms[i] products
+    y_j y_{j+idxs[i]}, for each i.
 
     Y is stationary Gaussian, sampled every dt, with covariance r; lags
-    are in steps. By Isserlis' theorem the variance of the mean is
-    sum_{|s|<m} (m - |s|)/m^2 [r(s)^2 + r(s + idx) r(s - idx)], and its
-    third cumulant is, up to O(lag reach / m), [6 F(idx) + 2 F(3 idx)] /
-    m^2 with F(d) = sum_{u,v} r(u) r(v) r(u + v + d), the eight cyclic
-    pairings of three products; F comes from one FFT autoconvolution of
-    r. Past |s| = idx every term falls like e^{-2 |s| dt / tau}, so the
-    sums stop ISSERLIS_CORR_TIMES correlation times later.
+    are in steps. By Isserlis' theorem the variance of the mean of m
+    products at lag idx is sum_{|s|<m} (m - |s|)/m^2 [r(s)^2 + r(s + idx)
+    r(s - idx)], and its third cumulant is, up to O(lag reach / m),
+    [6 F(idx) + 2 F(3 idx)] / m^2 with F(d) = sum_{u,v} r(u) r(v)
+    r(u + v + d), the eight cyclic pairings of three products. Past
+    |s| = idx every term falls like e^{-2 |s| dt / tau}, so each lag's
+    variance sum stops ISSERLIS_CORR_TIMES correlation times later, at
+    s_max, and its terms reach r(s_max + idx).
 
-    r and the variance terms are formed SUM_SLICE lags at a time, the
-    spectrum is squared in place and every sum is added in a fixed order
-    (_sliced_dot), so the temporaries besides r and the FFT stay at one
-    slice and the result does not depend on the BLAS thread count.
+    r is formed once, to the largest of these reaches R, and so is its
+    FFT autoconvolution, from which F comes at every lag; the sums of F
+    run over |u|, |v| <= R. F(d) reads the autoconvolution at lags up to
+    R + d, which a circular transform of length N > 3 R + 3 max(idxs)
+    gives without wrapping, for 2 R + 1 samples of r. r and the variance
+    terms are formed SUM_SLICE lags at a time, the spectrum is squared
+    in place and every sum is added in a fixed order (_sliced_dot), so
+    the temporaries besides r and the FFT stay at one slice and the
+    results do not depend on the BLAS thread count.
     """
     tau = _correlation_time(cov)
-    s_max = min(m - 1, idx + math.ceil(ISSERLIS_CORR_TIMES * tau / dt))
-    reach = s_max + idx
+    tail = math.ceil(ISSERLIS_CORR_TIMES * tau / dt)
+    s_maxes = [min(m - 1, idx + tail) for idx, m in zip(idxs, ms)]
+    reach = max(s_max + idx for s_max, idx in zip(s_maxes, idxs))
     r = np.empty(reach + 1)
     for lo in range(0, reach + 1, SUM_SLICE):
         hi = min(lo + SUM_SLICE, reach + 1)
         r[lo:hi] = eval_r(cov, 0, dt * np.arange(lo, hi))
-    var = 0.0
-    for lo in range(0, s_max + 1, SUM_SLICE):
-        hi = min(lo + SUM_SLICE, s_max + 1)
-        s = np.arange(lo, hi)
-        terms = r[lo:hi] ** 2 + r[lo + idx:hi + idx] * r[np.abs(s - idx)]
-        weights = (m - s) / m**2
-        weights[s > 0] *= 2.0
-        var += _sliced_dot(weights, terms)
-    se = math.sqrt(max(var, 0.0))
-    if se == 0.0:
-        return 0.0, 0.0
+    ses = []
+    for idx, m, s_max in zip(idxs, ms, s_maxes):
+        var = 0.0
+        for lo in range(0, s_max + 1, SUM_SLICE):
+            hi = min(lo + SUM_SLICE, s_max + 1)
+            s = np.arange(lo, hi)
+            terms = r[lo:hi] ** 2 + r[lo + idx:hi + idx] * r[np.abs(s - idx)]
+            weights = (m - s) / m**2
+            weights[s > 0] *= 2.0
+            var += _sliced_dot(weights, terms)
+        ses.append(math.sqrt(max(var, 0.0)))
+    if not any(ses):
+        return [(0.0, 0.0)] * len(ses)
 
     two_sided = np.concatenate([r[:0:-1], r])  # r(u), u = -reach..reach
     del r
-    n = _fft_length(4 * reach + 1)
+    n = _fft_length(3 * reach + 3 * max(idxs) + 1)
     spectrum = np.fft.rfft(two_sided, n)
     spectrum *= spectrum
     # conv[j] = sum_v r(v) r(j - 2 reach - v), the lag j - 2 reach
     conv = np.fft.irfft(spectrum, n)
+    del spectrum
 
     def f(d):
         top = min(reach, 2 * reach - d)  # u + d stays within the lags of conv
@@ -434,8 +452,8 @@ def product_mean_law(cov: CovarianceModel, dt: float, idx: int,
         return _sliced_dot(two_sided[:top + reach + 1],
                            conv[reach + d:top + d + 2 * reach + 1])
 
-    kappa3 = (6.0 * f(idx) + 2.0 * f(3 * idx)) / m**2
-    return se, kappa3 / se**3
+    return [(se, (6.0 * f(idx) + 2.0 * f(3 * idx)) / m**2 / se**3)
+            if se > 0 else (0.0, 0.0) for idx, m, se in zip(idxs, ms, ses)]
 
 
 def normal_score(x: float, skew: float) -> float:
@@ -464,10 +482,12 @@ def check_empirical_covariance(
     lags are in time units, >= 0, and must sit on the path grid. Each lagged
     product mean is standardised by the model's exact standard error and
     mapped to a normal score through its exact skewness
-    (product_mean_law, normal_score); both are reported in the detail.
-    The path must still fill 100 blocks of ten correlation times at
-    every lag, so the mean is close to its normal approximation. Each
-    lag's products are summed SUM_SLICE at a time (_sliced_dot), so the
+    (product_mean_laws, normal_score); both are reported in the detail.
+    The laws of every lag come from one r and one autoconvolution, at the
+    largest lag's reach. The path must still fill 100 blocks of ten
+    correlation times at every lag, so the mean is close to its normal
+    approximation. Each lag's products are summed SUM_SLICE at a time
+    (_sliced_dot) from the strided row Y of the time-major path, so the
     check's temporaries do not grow with the path length.
     """
     tau = _correlation_time(cov)
@@ -480,8 +500,7 @@ def check_empirical_covariance(
     n = y.size
     dt = path.dt
     block_len = int(round(BLOCK_CORR_TIMES * tau / dt))
-    details = []
-    worst = 0.0
+    idxs = []
     for lag in lags:
         idx = int(round(lag / dt))
         if abs(idx * dt - lag) > 1e-9 * max(dt, lag):
@@ -492,8 +511,13 @@ def check_empirical_covariance(
                 f"lag {lag}: {max(m, 0)} products cannot fill 100 blocks "
                 f"of {block_len} samples"
             )
+        idxs.append(idx)
+    laws = product_mean_laws(cov, dt, idxs, [n - idx for idx in idxs])
+    details = []
+    worst = 0.0
+    for lag, idx, (se, skew) in zip(lags, idxs, laws):
+        m = n - idx
         rhat = _sliced_dot(y[:m], y[idx:]) / m
-        se, skew = product_mean_law(cov, dt, idx, m)
         target = eval_r(cov, 0, float(lag))
         z = abs(normal_score((rhat - target) / se, skew)) if se > 0 else np.inf
         worst = max(worst, z)

@@ -36,6 +36,7 @@ from carkov.validate import (
     check_partial_correlation,
     normal_score,
     product_mean_law,
+    product_mean_laws,
     run_suite,
     stack_paths,
 )
@@ -215,6 +216,20 @@ class TestEmpiricalCovariance:
         with pytest.raises(PathTooShort):
             check_empirical_covariance(path, cov)
 
+    def test_time_major_path_reads_like_a_contiguous_one(self, spec_k1_repeated):
+        # a sampled path is time-major, so the check sums the strided row
+        # Y; a C-ordered copy of the values gives the same statistic and
+        # detail
+        system, law = assemble(spec_k1_repeated)
+        cov = residue_expansion(spec_k1_repeated)
+        path = sample_exact(system, law, 0.02, 60_000, seed=4)
+        assert not path.values[0].flags.c_contiguous
+        copy = dataclasses.replace(path, values=np.ascontiguousarray(path.values))
+        strided = check_empirical_covariance(path, cov)
+        contiguous = check_empirical_covariance(copy, cov)
+        assert strided.statistic == contiguous.statistic
+        assert strided.detail == contiguous.detail
+
     def test_memory_does_not_grow_with_the_path(self):
         # each lag's products are summed a slice at a time, and the
         # standard error's lag sums and FFT are sized by the grid and the
@@ -271,6 +286,20 @@ class TestEmpiricalCovariance:
         assert skew == pytest.approx(total / m**2 / se**3, rel=1e-9)
         assert 0.0 < skew < 0.2
 
+    def test_lags_share_one_r(self, spec_k2):
+        # one r and one autoconvolution at the largest lag's reach: each
+        # lag's standard error is its own call's, bit for bit, and its
+        # skewness moves only by the terms past its own reach (about
+        # e^-40 relative) and the rounding of a longer transform
+        cov = residue_expansion(spec_k2)
+        dt, idxs = 0.02, [0, 25, 50, 100]
+        ms = [60_000 - idx for idx in idxs]
+        laws = product_mean_laws(cov, dt, idxs, ms)
+        for idx, m, (se, skew) in zip(idxs, ms, laws):
+            alone = product_mean_law(cov, dt, idx, m)
+            assert se == alone[0]
+            assert skew == pytest.approx(alone[1], rel=1e-12)
+
     def test_fft_length(self):
         # the smallest 2^a 3^b 5^c at or above n, against a search
         def smooth(n):
@@ -282,7 +311,10 @@ class TestEmpiricalCovariance:
         for n in range(1, 3000):
             assert _fft_length(n) == next(
                 m for m in range(n, 2 * n + 1) if smooth(m))
-        # 4 reach + 1 at lag 2 tau of a 1e6-step path at tau / 998
+        # 3 reach + 3 idx + 1 at lags up to 2 tau of a 1e6-step path at
+        # tau / 998, and 4 reach + 1, which the lag 2 tau transform took
+        # when every lag had its own
+        assert _fft_length(77_845) == 78_125
         assert _fft_length(95_809) == 96_000
 
     def test_normal_score(self):
