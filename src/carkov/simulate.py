@@ -269,10 +269,10 @@ def ar1_recursion(step, noise_map, z0, shocks, out=None):
     time-major, so a block's states are contiguous in it, in the order
     of one row of the Toeplitz product: the product is written straight
     into the path SCAN_SLICE_BLOCKS blocks at a time and the carried part
-    added in place (_scan_chunk). So the temporaries stay below one chunk
-    of states whatever the path length, and no state is copied. The tables and the radius check depend
-    only on step and noise_map and are built once per pair (see
-    _scan_tables).
+    added in place (_scan_chunk). So the temporaries stay below a third
+    of a chunk of states whatever the path length, and no state is
+    copied. The tables and the radius check depend only on step and
+    noise_map and are built once per pair (see _scan_tables).
     """
     step = np.asarray(step, dtype=float)
     noise_map = np.asarray(noise_map, dtype=float)
