@@ -133,25 +133,28 @@ SCAN_BLOCK = 16
 #: paths ran up to 13 % slower (d = 3 and d = 9, 2-core Xeon)
 SCAN_CHUNK_BLOCKS = 2048
 
-#: blocks per row slice of the state products: the Toeplitz product is
-#: written into the path, and the carried part formed and added, one
-#: slice at a time, so the scan's temporaries do not grow with the chunk.
-#: Slices of 256, 512 and 2048 blocks ran within 6 % of each other
-#: (20,000 steps, d = 3 and d = 9, time-major paths, 2-core Xeon)
+#: blocks per row slice of the state product: the slice's entering states
+#: and shocks are copied into one buffer and its product with the scan
+#: table written into the path one slice at a time, so the scan's
+#: temporaries do not grow with the chunk. Slices of 256, 512 and 2048
+#: blocks ran within 6 % of each other (20,000 steps, d = 3 and d = 9,
+#: time-major paths, 2-core Xeon)
 SCAN_SLICE_BLOCKS = 512
 
 
 @lru_cache(maxsize=8)
 def _scan_tables(step_bytes, noise_bytes, d, q, B):
-    """Block tables of the state scan for one (step, noise_map) pair.
+    """Block table of the state scan for one (step, noise_map) pair.
 
-    Returns (toeplitz_t, powers_t): toeplitz_t is the (B q, B d) table
-    whose (j, i) block is (step^(i-j) noise_map)^T for i >= j and zero
-    otherwise, and powers_t is the (d, B d) table whose block i is
-    (step^(i+1))^T. Both are read-only. Keyed on the operands' bytes, so
-    repeated calls with one operator (many paths sampled at one dt and
-    method) build them once; raises ValueError, which is not cached, when
-    step has spectral radius >= 1.
+    Returns the read-only (d + B q, B d) table whose first d rows hold the
+    powers, block i being (step^(i+1))^T, and whose other rows hold the
+    block-Toeplitz part, block (j, i) being (step^(i-j) noise_map)^T for
+    i >= j and zero otherwise. So a row [state | B shock rows] times the
+    table gives the B states that follow that state, and the table of a
+    block of w < B steps is its prefix table[:d + w q, :w d]. Keyed on the
+    operands' bytes, so repeated calls with one operator (many paths
+    sampled at one dt and method) build it once; raises ValueError, which
+    is not cached, when step has spectral radius >= 1.
     """
     step = np.frombuffer(step_bytes).reshape(d, d)
     noise_map = np.frombuffer(noise_bytes).reshape(d, q)
@@ -165,16 +168,16 @@ def _scan_tables(step_bytes, noise_bytes, d, q, B):
     for _ in range(B):
         powers.append(step @ powers[-1])
     powers = np.stack(powers)
+    table = np.empty((d + B * q, B * d))
+    table[:d] = powers[1:].transpose(2, 0, 1).reshape(d, B * d)
     # responses[l] = step^l noise_map, and responses[-1] the zero block
     # that lag -1 picks for the upper triangle i < j
     responses = np.concatenate([powers[:B] @ noise_map, np.zeros((1, d, q))])
     j, i = np.ogrid[:B, :B]
     lag = np.maximum(i - j, -1)
-    toeplitz_t = responses[lag].transpose(0, 3, 1, 2).reshape(B * q, B * d)
-    powers_t = powers[1:].transpose(2, 0, 1).reshape(d, B * d)
-    toeplitz_t.flags.writeable = False
-    powers_t.flags.writeable = False
-    return toeplitz_t, powers_t
+    table[d:] = responses[lag].transpose(0, 3, 1, 2).reshape(B * q, B * d)
+    table.flags.writeable = False
+    return table
 
 
 def _doubling_scan(rows, power_t):
@@ -191,30 +194,33 @@ def _doubling_scan(rows, power_t):
         shift *= 2
 
 
-def _scan_chunk(shock_rows, carry, toeplitz_t, powers_t, out):
+def _scan_chunk(shock_rows, carry, table, out):
     """Advance the state over consecutive blocks of one width w.
 
     shock_rows holds one block's w shock rows per row, carry is the state
-    before the first block, and toeplitz_t and powers_t are the tables of
-    _scan_tables cut to w steps. out is the C-contiguous (blocks * w, d)
-    time-major stretch of the path that the states go to; returns a copy
-    of the last one. Only the blocks' local ends (the last d columns of
-    the Toeplitz product) are formed for the whole chunk. Seen as
-    (blocks, w d), out has one block's states per row, the layout of the
-    Toeplitz product itself: SCAN_SLICE_BLOCKS rows at a time the product
-    is written straight into out and the carried part added in place.
+    before the first block, and table is the table of _scan_tables cut to
+    w steps. out is the C-contiguous (blocks * w, d) time-major stretch of
+    the path that the states go to; returns a copy of the last one. Only
+    the blocks' local ends (the last d columns of the Toeplitz rows) are
+    formed for the whole chunk, and the doubling scan turns them into the
+    state entering each block. Seen as (blocks, w d), out has one block's
+    states per row, the layout of the table product: SCAN_SLICE_BLOCKS
+    blocks at a time, each block's entering state and shocks are copied
+    into one row [start | shocks] of a buffer, whose product with the
+    table is written straight into out.
     """
     d = carry.shape[0]
     starts = np.empty((len(shock_rows), d))
     starts[0] = carry
-    starts[1:] = shock_rows[:-1] @ toeplitz_t[:, -d:]
-    _doubling_scan(starts, powers_t[:, -d:])
+    starts[1:] = shock_rows[:-1] @ table[d:, -d:]
+    _doubling_scan(starts, table[:d, -d:])
     block_rows = out.reshape(len(shock_rows), -1)
+    rows = np.empty((min(SCAN_SLICE_BLOCKS, len(shock_rows)), len(table)))
     for lo in range(0, len(shock_rows), SCAN_SLICE_BLOCKS):
         hi = min(lo + SCAN_SLICE_BLOCKS, len(shock_rows))
-        states = block_rows[lo:hi]
-        np.matmul(shock_rows[lo:hi], toeplitz_t, out=states)
-        states += starts[lo:hi] @ powers_t
+        rows[:hi - lo, :d] = starts[lo:hi]
+        rows[:hi - lo, d:] = shock_rows[lo:hi]
+        np.matmul(rows[:hi - lo], table, out=block_rows[lo:hi])
     return out[-1].copy()
 
 
@@ -253,26 +259,30 @@ def ar1_recursion(step, noise_map, z0, shocks, out=None):
     -----
     Both the exact sampler and the Euler scheme reduce to this constant
     linear recurrence, evaluated as a blocked two-level scan (Blelloch
-    1990). The path is cut into blocks of B = SCAN_BLOCK steps. With
-    zero carry-in, the B states of a block are one row of the product of
-    its B shock rows with a block-Toeplitz table of step^(i-j) noise_map,
-    so one matrix product gives every block's local states. The state
-    entering each block follows c_{b+1} = step^B c_b + (local end of
-    block b), a recurrence over n / B blocks evaluated by a doubling
-    scan, and one more product adds step^(i+1) c_b to state i of block b.
-    The powers step^(B 2^s) of the doubling scan must decay for its sums
-    to stay accurate over long paths, hence the radius condition.
+    1990). The path is cut into blocks of B = SCAN_BLOCK steps. State i
+    of block b is step^(i+1) c_b plus the sum over j <= i of
+    step^(i-j) noise_map times shock j of the block, where c_b is the
+    state entering the block; so the B states of a block are one row
+    [c_b | its B shock rows] times one table (_scan_tables) that stacks
+    the powers step^(i+1) over a block-Toeplitz table of step^(i-j)
+    noise_map, and one matrix product gives every block's states. The
+    entering states follow c_{b+1} = step^B c_b + (local end of block b,
+    its last state from zero carry-in), a recurrence over n / B blocks
+    evaluated by a doubling scan. The powers step^(B 2^s) of the
+    doubling scan must decay for its sums to stay accurate over long
+    paths, hence the radius condition.
 
     The path is walked in chunks of SCAN_CHUNK_BLOCKS blocks, carrying
     the last state from one to the next. Within a chunk only the local
-    ends, one state per block, are formed at once. The path is stored
-    time-major, so a block's states are contiguous in it, in the order
-    of one row of the Toeplitz product: the product is written straight
-    into the path SCAN_SLICE_BLOCKS blocks at a time and the carried part
-    added in place (_scan_chunk). So the temporaries stay below a third
-    of a chunk of states whatever the path length, and no state is
-    copied. The tables and the radius check depend only on step and
-    noise_map and are built once per pair (see _scan_tables).
+    ends and the entering states, one state per block, are formed at
+    once. The path is stored time-major, so a block's states are
+    contiguous in it, in the order of one row of the table product:
+    SCAN_SLICE_BLOCKS blocks at a time, the rows [c_b | shocks] are
+    copied into one buffer whose product with the table is written
+    straight into the path (_scan_chunk). So the temporaries stay below
+    a third of a chunk of states whatever the path length, and no state
+    of the path is formed in a temporary. The table and the radius check depend only on step and
+    noise_map and are built once per pair.
     """
     step = np.asarray(step, dtype=float)
     noise_map = np.asarray(noise_map, dtype=float)
@@ -290,9 +300,7 @@ def ar1_recursion(step, noise_map, z0, shocks, out=None):
             or out.dtype != np.float64 or not out.T.flags.c_contiguous:
         raise ValueError(f"out must be a ({d}, {n + 1}) float64 array "
                          "whose transpose is C-contiguous")
-    toeplitz_t, powers_t = _scan_tables(
-        step.tobytes(), noise_map.tobytes(), d, q, SCAN_BLOCK
-    )
+    table = _scan_tables(step.tobytes(), noise_map.tobytes(), d, q, SCAN_BLOCK)
 
     out[:, 0] = z0
     rows = out.T  # time-major: row m is z_m
@@ -304,8 +312,7 @@ def ar1_recursion(step, noise_map, z0, shocks, out=None):
         carry = _scan_chunk(
             shocks[pos:pos + span].reshape(blocks, width * q),
             carry,
-            toeplitz_t[:width * q, :width * d],
-            powers_t[:, :width * d],
+            table[:d + width * q, :width * d],
             rows[pos + 1:pos + 1 + span],
         )
         pos += span

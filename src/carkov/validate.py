@@ -367,6 +367,28 @@ def _sliced_dot(a, b) -> float:
     return total
 
 
+def _lagged_dots(y, idxs) -> list[float]:
+    """_sliced_dot(y[:n - idx], y[idx:]) for each idx, bit for bit.
+
+    One window of SUM_SLICE + max(idxs) samples of y is copied per slice
+    and every lag's products are taken from it, so a strided y, such as
+    the row Y of a time-major path, is read about once rather than twice
+    per lag.
+    """
+    n = y.size
+    window = np.empty(min(n, SUM_SLICE + max(idxs)))
+    totals = [0.0] * len(idxs)
+    for lo in range(0, n - min(idxs), SUM_SLICE):
+        span = min(window.size, n - lo)
+        window[:span] = y[lo:lo + span]
+        for i, idx in enumerate(idxs):
+            width = min(SUM_SLICE, n - idx - lo)
+            if width > 0:
+                totals[i] += float((window[:width]
+                                    * window[idx:idx + width]).sum())
+    return totals
+
+
 def _fft_length(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n: a length that pocketfft transforms
     about as fast as a power of two, and up to half as long as the next
@@ -486,9 +508,10 @@ def check_empirical_covariance(
     The laws of every lag come from one r and one autoconvolution, at the
     largest lag's reach. The path must still fill 100 blocks of ten
     correlation times at every lag, so the mean is close to its normal
-    approximation. Each lag's products are summed SUM_SLICE at a time
-    (_sliced_dot) from the strided row Y of the time-major path, so the
-    check's temporaries do not grow with the path length.
+    approximation. Every lag's products are summed SUM_SLICE at a time
+    from one copied window of the strided row Y of the time-major path
+    per slice (_lagged_dots), so Y is read about once and the check's
+    temporaries do not grow with the path length.
     """
     tau = _correlation_time(cov)
     if lags is None:
@@ -515,9 +538,9 @@ def check_empirical_covariance(
     laws = product_mean_laws(cov, dt, idxs, [n - idx for idx in idxs])
     details = []
     worst = 0.0
-    for lag, idx, (se, skew) in zip(lags, idxs, laws):
-        m = n - idx
-        rhat = _sliced_dot(y[:m], y[idx:]) / m
+    dots = _lagged_dots(y, idxs)
+    for lag, idx, (se, skew), dot in zip(lags, idxs, laws, dots):
+        rhat = dot / (n - idx)
         target = eval_r(cov, 0, float(lag))
         z = abs(normal_score((rhat - target) / se, skew)) if se > 0 else np.inf
         worst = max(worst, z)

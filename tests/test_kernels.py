@@ -16,6 +16,7 @@ from carkov.simulate import (
     SCAN_BLOCK,
     SCAN_CHUNK_BLOCKS,
     SCAN_SLICE_BLOCKS,
+    _scan_tables,
     ar1_recursion,
     exact_step_operator,
 )
@@ -93,11 +94,37 @@ def test_matches_loop_oracle_across_chunks():
 
 
 def test_matches_loop_oracle_across_slices():
-    """One chunk of a full and a partial row slice, then a partial block."""
-    step, noise_map, z0 = _model_step(2, "exact", 50)
+    """One chunk of a full and a partial row slice, then a partial block,
+    for an exact step (q = d = 3) and an Euler step with one shock per
+    step (q = 1 < d = 9)."""
     n = SCAN_BLOCK * (SCAN_SLICE_BLOCKS + 3) + 7
-    shocks = np.random.default_rng(12).standard_normal((n, 3))
-    _assert_matches_loop(step, noise_map, z0, shocks)
+    for k, kind, steps_per_tau in ((2, "exact", 50), (8, "euler", 998)):
+        step, noise_map, z0 = _model_step(k, kind, steps_per_tau)
+        shocks = np.random.default_rng(12).standard_normal(
+            (n, noise_map.shape[1]))
+        _assert_matches_loop(step, noise_map, z0, shocks)
+
+
+def test_scan_table_stacks_the_powers_over_the_toeplitz_blocks():
+    """One read-only (d + B q, B d) table: block i of its first d rows is
+    (step^(i+1))^T, and block (j, i) of the rest is (step^(i-j)
+    noise_map)^T below the diagonal and zero above it."""
+    rng = np.random.default_rng(14)
+    step, noise_map, _, _ = _random_case(rng, 3, 2, 0)
+    d, q, B = 3, 2, SCAN_BLOCK
+    table = _scan_tables(step.tobytes(), noise_map.tobytes(), d, q, B)
+    assert table.shape == (d + B * q, B * d)
+    assert not table.flags.writeable
+    power = np.eye(d)
+    for i in range(B):
+        power = step @ power
+        np.testing.assert_allclose(table[:d, i * d:(i + 1) * d], power.T,
+                                   rtol=1e-12, atol=1e-15)
+        for j in range(B):
+            block = table[d + j * q:d + (j + 1) * q, i * d:(i + 1) * d]
+            lag = np.linalg.matrix_power(step, i - j) if i >= j else 0 * step
+            np.testing.assert_allclose(block, (lag @ noise_map).T,
+                                       rtol=1e-12, atol=1e-15)
 
 
 def test_tables_follow_the_operands():
@@ -116,22 +143,25 @@ def test_tables_follow_the_operands():
 
 
 def test_memory_stays_near_the_output():
-    """The temporaries of a long path stay below a third of a chunk of
-    states: the blocks' starts (1/16 of a chunk) and one slice's carried
-    part (SCAN_SLICE_BLOCKS / SCAN_CHUNK_BLOCKS = 1/4); the Toeplitz
-    products go straight into the path."""
+    """The temporaries of a long path are the blocks' starts, one state
+    per block of a chunk, and one slice's buffer of [start | shocks]
+    rows, SCAN_SLICE_BLOCKS rows of d + SCAN_BLOCK q; the table products
+    go straight into the path. At d = q = 9 that is 21/64 of a chunk of
+    states, and 8 KiB is left for the rest."""
     step, noise_map, z0 = _model_step(8, "exact", 50)
-    shocks = np.random.default_rng(10).standard_normal((200_000, 9))
-    ar1_recursion(step, noise_map, z0, shocks[:10])  # tables built untraced
+    d = q = 9
+    shocks = np.random.default_rng(10).standard_normal((200_000, q))
+    ar1_recursion(step, noise_map, z0, shocks[:10])  # table built untraced
     tracemalloc.start()
     try:
         out = ar1_recursion(step, noise_map, z0, shocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    chunk = SCAN_BLOCK * SCAN_CHUNK_BLOCKS * out.shape[0] * 8
-    assert peak <= out.nbytes + chunk / 3, (
-        f"peak {(peak - out.nbytes) / chunk:.2f} chunks above the output")
+    temps = 8 * (SCAN_CHUNK_BLOCKS * d + SCAN_SLICE_BLOCKS * (d + SCAN_BLOCK * q))
+    assert peak <= out.nbytes + temps + 8192, (
+        f"peak {peak - out.nbytes} B above the output, against {temps} B "
+        "of starts and slice buffer")
 
 
 def test_shapes():

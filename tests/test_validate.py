@@ -219,16 +219,31 @@ class TestEmpiricalCovariance:
     def test_time_major_path_reads_like_a_contiguous_one(self, spec_k1_repeated):
         # a sampled path is time-major, so the check sums the strided row
         # Y; a C-ordered copy of the values gives the same statistic and
-        # detail
+        # detail, also when a lag (340 tau = 17,000 steps) is longer than
+        # one SUM_SLICE
+        assert 340.0 / 0.02 > validate.SUM_SLICE
         system, law = assemble(spec_k1_repeated)
         cov = residue_expansion(spec_k1_repeated)
-        path = sample_exact(system, law, 0.02, 60_000, seed=4)
-        assert not path.values[0].flags.c_contiguous
-        copy = dataclasses.replace(path, values=np.ascontiguousarray(path.values))
-        strided = check_empirical_covariance(path, cov)
-        contiguous = check_empirical_covariance(copy, cov)
-        assert strided.statistic == contiguous.statistic
-        assert strided.detail == contiguous.detail
+        for n, lags in ((60_000, None), (70_000, [0.0, 1.0, 340.0])):
+            path = sample_exact(system, law, 0.02, n, seed=4)
+            assert not path.values[0].flags.c_contiguous
+            copy = dataclasses.replace(
+                path, values=np.ascontiguousarray(path.values))
+            strided = check_empirical_covariance(path, cov, lags)
+            contiguous = check_empirical_covariance(copy, cov, lags)
+            assert strided.statistic == contiguous.statistic
+            assert strided.detail == contiguous.detail
+
+    def test_lagged_products_are_each_lags_sliced_sum(self):
+        # the products of every lag come from one window of Y per slice,
+        # with the bits of summing each lag on its own, also for lags
+        # longer than a slice and a path that ends mid-slice
+        n = 3 * validate.SUM_SLICE + 5
+        y = np.random.default_rng(13).standard_normal((n, 3))[:, 0]
+        idxs = [0, 7, validate.SUM_SLICE + 3, 2 * validate.SUM_SLICE + 1]
+        dots = validate._lagged_dots(y, idxs)
+        assert dots == [validate._sliced_dot(y[:n - idx], y[idx:])
+                        for idx in idxs]
 
     def test_memory_does_not_grow_with_the_path(self):
         # each lag's products are summed a slice at a time, and the
