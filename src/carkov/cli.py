@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -46,6 +47,10 @@ def _dump_json(payload: dict | list, path: Path) -> None:
 # analyze
 
 def cmd_analyze(args) -> int:
+    if args.tmax is not None and not 0.0 < args.tmax < math.inf:
+        raise CarkovError(f"--tmax must be finite and positive, got {args.tmax}")
+    if args.points < 1:
+        raise CarkovError(f"--points must be at least 1, got {args.points}")
     spec = model.load_model(args.model)
     cov = covariance.residue_expansion(spec)
     mom = covariance.moments(cov)
@@ -111,8 +116,10 @@ def cmd_analyze(args) -> int:
 def cmd_simulate(args) -> int:
     spec = model.load_model(args.model)
     seed = _resolve_seed(args.seed)
-    if args.dt <= 0 or args.steps <= 0:
-        raise CarkovError("dt and steps must be positive")
+    if not 0.0 < args.dt < math.inf:
+        raise CarkovError(f"--dt must be finite and positive, got {args.dt}")
+    if args.steps <= 0:
+        raise CarkovError(f"--steps must be positive, got {args.steps}")
 
     if args.method in ("exact", "euler"):
         system, law = markov.assemble(spec)

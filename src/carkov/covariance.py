@@ -48,9 +48,6 @@ DEGENERACY_TOL = 1e-6
 #: quadrature oracle accuracy, relative to max(1, r(0)), for |t| <= 10
 QUAD_REL_TOL = 1e-6
 
-#: odd derivative moments below this (relative to r(0)) snap to zero
-ODD_MOMENT_TOL = 1e-10
-
 #: unit roundoff of IEEE double precision
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
@@ -72,7 +69,8 @@ class SpectralMoments:
     """Derivative moments of r at the origin.
 
     even_moments[j] = r^(j)(0) for j = 0..2k (odd entries vanish by
-    symmetry, see moments); top_plus is the one-sided limit of r^(2k+1) as t -> 0+.
+    symmetry up to rounding, see moments); top_plus is the one-sided
+    limit of r^(2k+1) as t -> 0+.
     even_magnitudes and top_magnitude sum the magnitudes of the residue
     terms behind each value (term_magnitude at 0), from which the
     verification suite bounds their rounding; empty and 0 when unknown.
@@ -287,22 +285,15 @@ def one_sided_top(cov: CovarianceModel) -> float:
 def moments(cov: CovarianceModel) -> SpectralMoments:
     """Derivative moments r^(j)(0) for j <= 2k plus the one-sided top.
 
-    Odd-order entries vanish by symmetry; values below ODD_MOMENT_TOL
-    relative to r(0) are snapped to exact zeros so that downstream linear
-    algebra sees the structural zeros it expects. Larger ones, at high k,
-    are rounding noise of the same term list as the even moments and are
-    kept: the drift solved from both stays closer to the root expansion
-    than with the noise removed. Each value comes with the summed
-    magnitude of its terms (term_magnitude at 0).
+    Odd-order entries vanish by symmetry, and each keeps the value its
+    terms sum to: the drift solve's rounding errors cancel against these
+    values, and validate._odd_noise bounds them. Each value comes with
+    the summed magnitude of its terms (term_magnitude at 0).
     """
     vals = []
     for j in range(2 * cov.k + 1):
         terms = derivative_terms(cov, j)
         vals.append(float(sum(coef for coef, _root, p in terms if p == 0).real))
-    r0 = vals[0]
-    for j in range(1, 2 * cov.k + 1, 2):
-        if abs(vals[j]) < ODD_MOMENT_TOL * abs(r0):
-            vals[j] = 0.0
     mags = [float(term_magnitude(cov, j, 0.0)) for j in range(2 * cov.k + 2)]
     return SpectralMoments(
         even_moments=tuple(vals), top_plus=one_sided_top(cov),

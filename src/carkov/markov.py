@@ -96,15 +96,14 @@ def stationary_law(mom: SpectralMoments) -> StationaryLaw:
     """Stationary covariance of the stack, checked for positive definiteness.
 
     Entry (i, j) with i + j odd is the odd moment r^(i+j)(0), zero by
-    symmetry, with opposite signs above and below the diagonal. At high k
-    that moment is kept as rounding noise (see moments), so the matrix is
+    symmetry, with opposite signs above and below the diagonal. That
+    moment is kept as rounding noise (see moments), so the matrix is
     stored as (Sigma + Sigma^T) / 2, which makes those entries exactly
-    zero; entries already equal, among them the signed zeros of snapped
-    odd moments, are kept as they are.
+    zero and keeps the even ones as they are.
     """
     k = mom.k
     sigma = (-1.0) ** np.arange(k + 1)[:, None] * mom.hankel[:, : k + 1]
-    sigma = np.where(sigma == sigma.T, sigma, (sigma + sigma.T) / 2.0)
+    sigma = (sigma + sigma.T) / 2.0
     _check_positive_definite(sigma)
     return StationaryLaw(covariance=sigma)
 

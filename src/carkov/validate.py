@@ -197,8 +197,8 @@ def check_lyapunov(system: ItoSystem, law: StationaryLaw) -> CheckReport:
     o_j sums the terms a_l r^(l+j)(0) and r^(k+j+1)(0) of
     markov.solve_drift's row j that have odd order (stationary_law
     stores those entries of Sigma as zero). The even moments' errors
-    thus cancel; only the odd moments, zero by symmetry and rounding
-    noise where not snapped, enter. The rounding floor is
+    thus cancel; only the odd moments, zero by symmetry up to rounding
+    noise, enter. The rounding floor is
     ||E||_F / ||Sigma||_F with E = gamma(5k + 10) (S + S' +
     b^2 e_k e_k'), S = |A||Sigma| (3(k+1) roundings for the solve's
     backward error, Higham 2002, Theorem 9.4, with |L||U| taken as |G|;
@@ -236,8 +236,7 @@ def check_characteristic(system: ItoSystem, spec: RootSpec) -> CheckReport:
     rounded coefficients, up to the roundings of the sums that evaluate
     them. chi(D) annihilates that term list too, so its drift is exactly
     -chi, and only the evaluation counts (moment_bounds with
-    coefficients=False), except at a snapped odd moment, which departs
-    from it by at most its full bound. The rounding floor is
+    coefficients=False). The rounding floor is
     max_j (da_j + dchi_j) / scale: Skeel's bound da = |G^-1| (|dG| |a| +
     |drhs|) (Higham 2002, section 7.2) on the drift solve, with the
     solve's backward error gamma(3(k+1)) |G| (Theorem 9.4, |L||U| taken
@@ -252,11 +251,8 @@ def check_characteristic(system: ItoSystem, spec: RootSpec) -> CheckReport:
     floor = 0.0
     if system.moments is not None:
         mom = system.moments
-        hankel, order = mom.hankel, _hankel_order(k)
-        snapped = (order % 2 == 1) & (hankel == 0.0)
-        bounds = np.where(snapped, moment_bounds(mom)[order],
-                          moment_bounds(mom, coefficients=False)[order])
-        gram = hankel[:, : k + 1]
+        bounds = moment_bounds(mom, coefficients=False)[_hankel_order(k)]
+        gram = mom.hankel[:, : k + 1]
         d_gram = bounds[:, : k + 1] + gamma(3 * (k + 1)) * np.abs(gram)
         d_drift = np.abs(np.linalg.inv(gram)) @ (
             d_gram @ np.abs(system.drift) + bounds[:, k + 1]
@@ -311,10 +307,9 @@ def check_diffusion_identity(system: ItoSystem, spec: RootSpec) -> CheckReport:
 def _odd_noise(system: ItoSystem) -> np.ndarray:
     """Bound of |o_j| for each row j of the drift solve (see check_lyapunov).
 
-    o_j sums the terms a_l r^(l+j)(0) and r^(k+j+1)(0) of odd order below
-    2k + 1 that were not snapped to zero. Their moments are zero by
-    symmetry, so each is bounded by its full rounding bound
-    (moment_bounds).
+    o_j sums the nonzero terms a_l r^(l+j)(0) and r^(k+j+1)(0) of odd
+    order below 2k + 1. Their moments are zero by symmetry, so each is
+    bounded by its full rounding bound (moment_bounds).
     """
     mom = system.moments
     order = _hankel_order(mom.k)
@@ -643,7 +638,8 @@ def run_suite(spec: RootSpec, budget: str = "fast", seed: int = 0,
     """Run every check appropriate to the model's k.
 
     budget is "fast" or "full" and scales the statistical effort. All
-    randomness derives from seed. perturb_coef != 0 multiplies the first
+    randomness derives from seed. A bad budget or a non-finite
+    perturb_coef raises ValueError. perturb_coef != 0 multiplies the first
     covariance term coefficient by (1 + perturb_coef) AFTER the system is
     assembled: a documented negative control that must trip the
     closed-form checks. The Markov-property probes take their gap and
@@ -652,6 +648,8 @@ def run_suite(spec: RootSpec, budget: str = "fast", seed: int = 0,
     """
     if budget not in _PROFILES:
         raise ValueError(f"budget must be one of {sorted(_PROFILES)}")
+    if not math.isfinite(perturb_coef):
+        raise ValueError(f"perturb_coef must be finite, got {perturb_coef}")
     prof = _PROFILES[budget]
     cov = residue_expansion(spec)
     mom = moments(cov)

@@ -87,6 +87,19 @@ class TestAnalyze:
         assert main(["analyze", "--model", K2, "--out", str(tmp_path)]) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("option, value", [
+        ("--tmax", "nan"), ("--tmax", "inf"), ("--tmax", "0"),
+        ("--tmax", "-1"), ("--points", "0"),
+    ])
+    def test_bad_curve_exit_2(self, tmp_path, capsys, option, value):
+        rc = main(["analyze", "--model", K2, "--out", str(tmp_path),
+                   option, value])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CarkovError"
+        assert option in err["message"]
+        assert not list(tmp_path.iterdir())
+
 
 class TestSimulate:
     def test_exact_output_shape(self, tmp_path):
@@ -159,6 +172,16 @@ class TestSimulate:
                    "--dt", "-1", "--steps", "10", "--out", str(tmp_path)])
         assert rc == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("method", ["exact", "euler", "spectral"])
+    @pytest.mark.parametrize("dt", ["nan", "inf"])
+    def test_non_finite_dt_exit_2(self, tmp_path, capsys, method, dt):
+        rc = main(["simulate", "--model", K2, "--method", method,
+                   "--dt", dt, "--steps", "10", "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CarkovError"
+        assert "--dt" in err["message"]
 
     def test_exact_step_too_small_exit_2(self, tmp_path, capsys):
         # the first random k = 8 / k = 10 model whose e^{A dt} rounds to
@@ -285,6 +308,14 @@ class TestVerify:
         out = capsys.readouterr().out
         assert rc == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_perturbation_exit_2(self, capsys, eps):
+        rc = main(["verify", "--model", K2, "--perturb", eps])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "perturb_coef" in err["message"]
 
 
 class TestErrorHandling:

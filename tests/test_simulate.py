@@ -7,7 +7,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from carkov import (
     assemble,
@@ -80,10 +79,11 @@ class TestExactStepOperator:
         ).max() ** 2
 
     def test_matches_expm(self, spec_k2):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
         system, law = assemble(spec_k2)
         phi, _ = exact_step_operator(system, law, 0.81)
         np.testing.assert_allclose(
-            phi, scipy.linalg.expm(system.companion * 0.81), rtol=1e-10
+            phi, scipy_linalg.expm(system.companion * 0.81), rtol=1e-10
         )
 
     def test_rejects_bad_dt(self, spec_k0):
@@ -409,11 +409,12 @@ class TestSampleEuler:
         # at a coarse step the Euler chain is still an exact AR(1) whose
         # stationary variance solves a discrete Lyapunov equation; the
         # empirical variance must match THAT, not the continuous law
+        scipy_linalg = pytest.importorskip("scipy.linalg")
         system, law = assemble(spec_k0)
         dt = 0.25
         M = np.eye(1) + system.companion * dt
         Q = np.outer(system.noise_vector, system.noise_vector) * dt
-        target = scipy.linalg.solve_discrete_lyapunov(M, Q)[0, 0]
+        target = scipy_linalg.solve_discrete_lyapunov(M, Q)[0, 0]
         # b^2 dt / (1 - (1 - a dt)^2) = b^2 / (2a - a^2 dt): biased UP
         assert target > law.covariance[0, 0]
         path = sample_euler(system, law, dt, 400_000, seed=4)

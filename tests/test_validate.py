@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from carkov import assemble, eval_r, moments, residue_expansion, sample_exact
 from carkov import model, simulate, validate
@@ -110,6 +109,34 @@ class TestClosedFormChecks:
                 check_diffusion_identity(system, spec),
             ):
                 assert rep.passed, f"{rep.name}: {rep.detail}"
+
+    @pytest.mark.parametrize("pair, axis, scale", [
+        # perfbench high_k seed 15, closed-form model 17 (k = 10): with
+        # its odd moments below 1e-10 r(0) set to zero,
+        # markov_factorization read 2.1e-8; with them kept, 2.8e-10
+        ((0.8928612419391245, 2.5393187413090375),
+         (2.7544107337886787, 1.2212408609565208, 1.468627411742272,
+          1.855912718830304, 1.5845256672460188, 0.7929920625737734,
+          2.0998620220687223, 1.9597796391976081, 0.2969190703487713),
+         1.7658341478899584),
+        # high_k seed 7004, model 15 (k = 10): 1.2e-8 zeroed, 3.5e-10 kept
+        ((0.9807097742672607, 0.6679411953725454),
+         (1.2993850596152132, 2.5775222203439303, 2.51440496378477,
+          0.757392399152832, 0.35377224929614626, 1.5346509763463505,
+          2.8614011541203768, 2.4456570743771127, 1.9791504160680393),
+         0.8325611469031529),
+    ], ids=["high_k-seed15-model17", "high_k-seed7004-model15"])
+    def test_high_k_models_pass_with_their_odd_moments(self, pair, axis, scale):
+        rho, sigma = pair
+        spec = model.validate(
+            [complex(rho, sigma), complex(-rho, sigma)]
+            + [complex(0.0, im) for im in axis],
+            scale,
+        )
+        cov = residue_expansion(spec)
+        reports = [check_markov_factorization(cov, moments(cov))]
+        for rep in reports + _identity_checks(spec):
+            assert rep.passed, f"{rep.name}: {rep.detail}"
 
 
 def _identity_checks(spec):
@@ -553,13 +580,14 @@ class TestRunSuite:
         # the three states are a stationary exact-chain draw: Cov(Z(m g),
         # Z(j g)) = e^{A (m - j) g} Sigma for j <= m, entrywise within 4
         # standard errors of the product means
+        scipy_linalg = pytest.importorskip("scipy.linalg")
         system, law = assemble(spec_k2)
         gap, reps = 0.5, 50_000
         ens = _replicate_ensemble(system, law, gap, reps, seed=3)
         assert ens.shape == (reps, 3, 3)
         for m in range(3):
             for j in range(m + 1):
-                target = scipy.linalg.expm(
+                target = scipy_linalg.expm(
                     system.companion * ((m - j) * gap)) @ law.covariance
                 prods = ens[:, :, m, None] * ens[:, None, :, j]
                 se = prods.std(axis=0) / math.sqrt(reps)
@@ -588,6 +616,15 @@ class TestRunSuite:
     def test_bad_budget(self, spec_k0):
         with pytest.raises(ValueError):
             run_suite(spec_k0, budget="extreme")
+
+    @pytest.mark.parametrize("coef", [math.nan, math.inf, -math.inf])
+    def test_non_finite_perturbation(self, spec_k2, coef, monkeypatch):
+        def refused(spec):
+            raise AssertionError("the suite started work")
+
+        monkeypatch.setattr(validate, "residue_expansion", refused)
+        with pytest.raises(ValueError, match="perturb_coef"):
+            run_suite(spec_k2, perturb_coef=coef)
 
     def test_expands_residues_once(self, spec_k2, monkeypatch):
         calls = []
