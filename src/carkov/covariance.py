@@ -587,6 +587,8 @@ def quadrature_r(spec: RootSpec, j: int, t: float) -> float:
     ------
     OrderTooHigh
         If j > 2k (the integral no longer converges absolutely).
+    ValueError
+        If j < 0 or t is not finite.
     NotConverged
         If the rule does not meet its stopping tolerance within
         DE_HALVINGS halvings and DE_MAX_NODES nodes per sum, which
@@ -599,6 +601,8 @@ def quadrature_r(spec: RootSpec, j: int, t: float) -> float:
         raise OrderTooHigh(f"quadrature oracle supports j <= 2k = {2 * k}")
     if j < 0:
         raise ValueError("derivative order must be >= 0")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
 
     r0 = _envelope(spec, 0)  # equals r(0): the j = 0 integrand is positive
     target = QUAD_STOP_TOL * max(1.0, r0)

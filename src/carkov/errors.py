@@ -40,10 +40,10 @@ class OrderTooHigh(CarkovError):
 
 
 class NotConverged(CarkovError):
-    """The quadrature oracle could not certify the requested accuracy, or
-    the spectral grid could not resolve the density over the requested
-    span within its panel cap (simulate.SPECTRAL_MAX_PANELS); the message
-    then names the cap, the span and the map scale."""
+    """The quadrature oracle could not certify the requested accuracy, the
+    spectral grid could not resolve the density over the requested span
+    within its panel cap (the message names the cap, the span and the map
+    scale), or Durbin-Levinson on r did not settle at any validate gap."""
 
 
 class SingularGram(CarkovError):

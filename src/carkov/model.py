@@ -14,6 +14,7 @@ builds that system from the spec assembled here.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 
@@ -68,7 +69,7 @@ def validate(roots, scale: float) -> RootSpec:
         part, and the multiset must be closed under zeta -> -conj(zeta)
         within ``PAIRING_TOL``.
     scale : float
-        Leading scale factor of P, strictly positive.
+        Leading scale factor of P, strictly positive and finite.
 
     Returns
     -------
@@ -83,12 +84,16 @@ def validate(roots, scale: float) -> RootSpec:
         If scale <= 0.
     UnpairedRoot
         If some root has no reflection partner in the multiset.
+    CarkovError
+        If a root or the scale is not finite.
     """
     roots = [complex(z) for z in roots]
     if not roots:
         raise UnpairedRoot("at least one root is required")
     if not (scale > 0):
         raise NonPositiveScale(f"scale must be > 0, got {scale}")
+    if not all(map(cmath.isfinite, [scale, *roots])):
+        raise CarkovError(f"roots {roots} and scale {scale} must be finite")
     for z in roots:
         if not (z.imag > 0):
             raise NonPositiveImaginaryPart(

@@ -12,10 +12,7 @@ main end-to-end consistency argument.
 All randomness flows through SFC64 generators (Doty-Humphrey's Small
 Fast Chaotic generator, as numpy ships it) on the SeedSequence spawn
 key of (seed, method, stream), so different methods never share a
-stream and any replicate can be regenerated in isolation. The
-verification suite samples its exact path on stream 0 and draws its
-Markov probe's replicate states as one batch from the (seed, "exact",
-1) substream.
+stream and any replicate can be regenerated in isolation.
 """
 
 from __future__ import annotations
@@ -475,8 +472,8 @@ def exact_step_operator(
     return phi, _psd_sqrt(q, scale)
 
 
-# 16 entries: one run_suite uses its path dt and up to four probe gaps,
-# and a caller that samples exact and Euler paths side by side two more;
+# 16 entries: a run_suite uses one, and the exact and Euler operands of
+# a model stay while suites of up to 14 others run between its paths;
 # an entry is a few KB at d <= 21
 @lru_cache(maxsize=16)
 def _recursion_operands(method, dt, drift_bytes, diffusion, cov_bytes):
@@ -591,9 +588,11 @@ def sample_euler(
     FactorizationFailure
         If the law has a variance that is not positive, so the state
         cannot be scaled for the stationary factor.
+    ValueError
+        If dt is not positive and finite.
     """
-    if not (dt > 0):
-        raise ValueError("dt must be positive")
+    if not (0 < dt < math.inf):
+        raise ValueError("dt must be positive and finite")
     step, noise_map, factor = _recursion(system, law, "euler", dt)
     d = step.shape[0]
     rng = _generator(seed, "euler", stream)

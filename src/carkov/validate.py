@@ -14,7 +14,7 @@ with negated statistic and threshold so the same pass rule applies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,15 +31,10 @@ from .covariance import (
     residue_expansion,
     term_magnitude,
 )
-from .errors import DegenerateConditioning, PathTooShort
+from .errors import DegenerateConditioning, NotConverged, PathTooShort
 from .markov import ItoSystem, StationaryLaw, _assemble_from_moments
 from .model import RealPolynomial, RootSpec, ode_char_poly
-from .simulate import (
-    SamplePath,
-    _generator,
-    _recursion,
-    sample_exact,
-)
+from .simulate import SamplePath, sample_exact
 
 #: relative tolerance for closed-form identities
 CLOSED_FORM_TOL = 1e-8
@@ -59,15 +54,15 @@ ISSERLIS_CORR_TIMES = 20.0
 #: temporaries stay at one slice whatever the path length
 SUM_SLICE = 1 << 14
 
-#: probe gaps of the replicate ensemble, in correlation times
-PROBE_GAPS = (0.25, 0.5, 0.75, 1.0)
-
-#: expected scalar-control statistic aimed for, in standard errors above
-#: STAT_BAND
-PROBE_MARGIN = 3.0
-
-#: largest replicate count, as a multiple of the budget's
-PROBE_MAX_FACTOR = 64
+#: check_innovations' gaps in correlation times; Durbin-Levinson's order
+#: cap, settling tolerance and least error variance over r(0), below which
+#: its rounding inflates the whitened variance; Ljung-Box lags; fewest z
+INNOVATION_GAPS = (0.2, 0.5, 1.0, 2.0)
+LEVINSON_MAX_ORDER = 400
+LEVINSON_SETTLE_TOL = 1e-10
+LEVINSON_MIN_VARIANCE = 1e-5
+LJUNG_BOX_LAGS = 10
+INNOVATION_MIN = 500
 
 
 @dataclass(frozen=True)
@@ -549,6 +544,69 @@ def check_empirical_covariance(
     )
 
 
+def _levinson(r: np.ndarray):
+    """(coefficients, error variance) of Durbin-Levinson on autocovariances r
+    (Brockwell and Davis 1991, section 5.2) at the first order that settled
+    (LEVINSON_SETTLE_TOL twice running), is not positive or is r.size - 1."""
+    phi, var, settled = np.zeros(0), float(r[0]), 0
+    while settled < 2 and var > 0 and phi.size < r.size - 1:
+        p = phi.size + 1
+        kappa = (r[p] - _sliced_dot(phi, r[p - 1:0:-1])) / var
+        phi = np.append(phi - kappa * phi[::-1], kappa)
+        new = var * (1.0 - kappa * kappa)
+        settled = settled + 1 if abs(var - new) <= LEVINSON_SETTLE_TOL * var else 0
+        var = new
+    return phi, var
+
+
+def check_innovations(path: SamplePath, cov: CovarianceModel) -> CheckReport:
+    """Whitened one-step prediction errors z of Y against iid N(0, 1): the
+    largest of |mean z| sqrt(n), |mean z^2 - 1| / sqrt(2/n) and the
+    Wilson-Hilferty score of the Ljung-Box Q (Ljung and Box 1978). Y is
+    read at the first of INNOVATION_GAPS where _levinson settles on r alone
+    (no A, b or Sigma: an exact path meets a second route) before
+    LEVINSON_MAX_ORDER at LEVINSON_MIN_VARIANCE r(0) or more. An r that is
+    not positive definite (a perturbed r can be) FAILs; no qualifying gap
+    otherwise is NotConverged. Sums are sliced (_sliced_dot), so no bit
+    depends on the BLAS thread count."""
+    tau = _correlation_time(cov)
+    tried, definite = [], False
+    for frac in INNOVATION_GAPS:
+        stride = max(1, int(round(frac * tau / path.dt)))
+        gap = stride * path.dt
+        r = eval_r(cov, 0, gap * np.arange(LEVINSON_MAX_ORDER + 1))
+        phi, var = _levinson(r)
+        if (var >= LEVINSON_MIN_VARIANCE * r[0] > 0
+                and phi.size < LEVINSON_MAX_ORDER):
+            break
+        definite = definite or var > 0
+        tried.append(f"{gap / tau:.4g} tau: order {phi.size}, variance {var:.3g}")
+    else:
+        tried = f"r(0) = {r[0]:.3g}; " + "; ".join(tried)
+        if definite:
+            raise NotConverged(f"Durbin-Levinson on r qualified at no gap ({tried})")
+        return _report("whitened_innovations", math.inf, STAT_BAND,
+                       f"r is not positive definite at any gap ({tried})")
+    y = path.values[0, ::stride].copy()
+    p, n = phi.size, y.size - phi.size
+    if n < INNOVATION_MIN:
+        raise PathTooShort(f"{max(n, 0)} innovations, fewer than {INNOVATION_MIN}")
+    z = y[p:] - sum(c * y[p - j:y.size - j] for j, c in enumerate(phi, 1))
+    z /= math.sqrt(var)
+    power = _sliced_dot(z, z)
+    h = LJUNG_BOX_LAGS
+    q = n * (n + 2) * sum((dot / power) ** 2 / (n - lag) for lag, dot in
+                          enumerate(_lagged_dots(z, list(range(1, h + 1))), 1))
+    scores = (abs(_sliced_dot(z, np.ones(n))) / math.sqrt(n),
+              abs(power / n - 1) / math.sqrt(2 / n),
+              ((q / h) ** (1 / 3) - 1 + 2 / (9 * h)) / math.sqrt(2 / (9 * h)))
+    return _report("whitened_innovations", max(scores), STAT_BAND,
+                   f"gap {gap / tau:.4g} tau, order {p}, n = {n}: |mean z| "
+                   f"sqrt(n) = {scores[0]:.2f}, |mean z^2 - 1| / sqrt(2/n) = "
+                   f"{scores[1]:.2f}, Ljung-Box({h}) Q = {q:.2f}, normal score "
+                   f"{scores[2]:.2f}")
+
+
 def stack_paths(paths) -> np.ndarray:
     """Stack an iterable of SamplePath into an (R, k+1, N) array."""
     return np.stack([p.values for p in paths], axis=0)
@@ -626,25 +684,23 @@ def check_partial_correlation(
 # ---------------------------------------------------------------------------
 # suite driver
 
-#: budget profiles: path length and replicate counts in correlation-time units
+#: budget profiles: path span and grid in correlation-time units
 _PROFILES = {
-    "fast": {"span": 1200.0, "steps_per_tau": 50, "replicates": 1000},
-    "full": {"span": 10000.0, "steps_per_tau": 100, "replicates": 2000},
+    "fast": {"span": 1200.0, "steps_per_tau": 50},
+    "full": {"span": 10000.0, "steps_per_tau": 100},
 }
 
 
 def run_suite(spec: RootSpec, budget: str = "fast", seed: int = 0,
               perturb_coef: float = 0.0) -> list[CheckReport]:
-    """Run every check appropriate to the model's k.
+    """Run the five closed-form checks and two on one exact path.
 
     budget is "fast" or "full" and scales the statistical effort. All
     randomness derives from seed. A bad budget or a non-finite
     perturb_coef raises ValueError. perturb_coef != 0 multiplies the first
     covariance term coefficient by (1 + perturb_coef) AFTER the system is
     assembled: a documented negative control that must trip the
-    closed-form checks. The Markov-property probes take their gap and
-    replicate count from the population partial correlation
-    (_probe_design) and report both in their detail.
+    closed-form checks. The path is drawn on stream 0 of seed.
     """
     if budget not in _PROFILES:
         raise ValueError(f"budget must be one of {sorted(_PROFILES)}")
@@ -674,70 +730,5 @@ def run_suite(spec: RootSpec, budget: str = "fast", seed: int = 0,
     dt = tau / prof["steps_per_tau"]
     n_steps = int(round(prof["span"] * tau / dt))
     path = sample_exact(system, law, dt, n_steps, seed, stream=0)
-    reports.append(check_empirical_covariance(path, cov))
-
-    gap, rho, n_rep = _probe_design(system, law, tau, prof["replicates"])
-    ens = _replicate_ensemble(system, law, gap, n_rep, seed)
-    design = f"; probe gap {gap / tau:g} tau, R = {n_rep}"
-    vector = check_partial_correlation(ens, 0, 1, 2, "vector")
-    reports.append(replace(
-        vector, detail=vector.detail + design + ", population pcorr = 0"
-    ))
-    if spec.k >= 1:
-        scalar = check_partial_correlation(ens, 0, 1, 2, "scalar")
-        reports.append(replace(
-            scalar,
-            detail=scalar.detail + design + f", population |pcorr| = "
-            f"{abs(rho):.4f}, expected |pcorr| sqrt(R) = "
-            f"{abs(rho) * math.sqrt(n_rep):.2f}",
-        ))
-    return reports
-
-
-def _probe_design(system: ItoSystem, law: StationaryLaw, tau: float,
-                  replicates: int) -> tuple[float, float, int]:
-    """(gap, population partial correlation, replicate count) of the probe.
-
-    The law is Gaussian, so the partial correlation rho of Y(0) and
-    Y(2g) given Y(g) alone follows from Cov(Z(t+h), Z(t)) = e^{A h} Sigma.
-    The scalar control's statistic |pcorr| sqrt(R) is then about
-    |rho| sqrt(R) with standard error at most 1, so the gap with the
-    largest |rho| is taken and R raised until the expected statistic is
-    PROBE_MARGIN standard errors above STAT_BAND, within
-    PROBE_MAX_FACTOR times the budget. For k = 0 the state is Y itself,
-    rho is 0 and no scalar control runs: the budget's R at 0.75 tau.
-    """
-    if system.k == 0:
-        return 0.75 * tau, 0.0, replicates
-    sigma = law.covariance
-    r0 = sigma[0, 0]
-    best_gap, best_rho = 0.0, 0.0
-    for frac in PROBE_GAPS:
-        phi = _recursion(system, law, "exact", frac * tau)[0]
-        r1 = (phi @ sigma)[0, 0]
-        r2 = (phi @ phi @ sigma)[0, 0]
-        rho = (r2 * r0 - r1**2) / (r0**2 - r1**2)
-        if abs(rho) > abs(best_rho):
-            best_gap, best_rho = frac * tau, rho
-    need = math.ceil(((STAT_BAND + PROBE_MARGIN) / abs(best_rho)) ** 2)
-    return best_gap, best_rho, min(max(replicates, need),
-                                   PROBE_MAX_FACTOR * replicates)
-
-
-def _replicate_ensemble(system: ItoSystem, law: StationaryLaw, gap: float,
-                        n_rep: int, seed: int) -> np.ndarray:
-    """(n_rep, k+1, 3) independent exact-chain states at times 0, gap, 2 gap.
-
-    Z(0) = Sigma^(1/2) xi_0 and Z(t + gap) = Phi Z(t) + L xi, with (Phi, L)
-    the exact step operator at gap, so every replicate is a stationary
-    draw of the three states. The operator and the Sigma factor come from
-    the samplers' memo, which _probe_design has filled at gap. All the
-    shocks are one (3, n_rep, k+1) normal block from the (seed, "exact",
-    1) substream, and each state is formed in place of its shocks.
-    """
-    phi, innovation, factor = _recursion(system, law, "exact", gap)
-    xi = _generator(seed, "exact", 1).standard_normal((3, n_rep, system.k + 1))
-    xi[0] = xi[0] @ factor.T
-    for m in (1, 2):
-        xi[m] = xi[m - 1] @ phi.T + xi[m] @ innovation.T
-    return xi.transpose(1, 2, 0)
+    return reports + [check_empirical_covariance(path, cov),
+                      check_innovations(path, cov)]

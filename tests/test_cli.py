@@ -334,6 +334,16 @@ class TestErrorHandling:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "UnpairedRoot"
 
+    def test_non_finite_root_exit_2(self, tmp_path, capsys):
+        # json reads 1e400 as inf
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"roots": [[0, 1e400]], "scale": 1}')
+        rc = main(["analyze", "--model", str(bad), "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CarkovError"
+        assert err["message"] == "roots [infj] and scale 1.0 must be finite"
+
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -247,6 +247,15 @@ class TestQuadratureOracle:
             quadrature_r(spec_k1_repeated, 2, 1.0), rel=1e-12
         )
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_t_is_refused(self, spec_k0, t, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("the oracle started work")
+
+        monkeypatch.setattr(cov_mod, "_quad_semi_infinite", refused)
+        with pytest.raises(ValueError, match="finite"):
+            quadrature_r(spec_k0, 0, t)
+
     def test_order_gate(self, spec_k0):
         with pytest.raises(OrderTooHigh):
             quadrature_r(spec_k0, 1, 1.0)

@@ -59,6 +59,17 @@ class TestValidate:
         with pytest.raises(NonPositiveScale):
             model.validate([1j], -2.0)
 
+    @pytest.mark.parametrize("roots, scale, value", [
+        ([complex(0.0, float("inf"))], 1.0, "infj"),
+        ([complex(float("nan"), 1.0)], 1.0, "nan"),
+        ([1j], float("inf"), "inf"),
+    ])
+    def test_non_finite_rejected(self, roots, scale, value):
+        with pytest.raises(CarkovError, match="finite") as err:
+            model.validate(roots, scale)
+        assert type(err.value) is CarkovError
+        assert value in str(err.value)
+
     def test_empty_rejected(self):
         with pytest.raises(UnpairedRoot):
             model.validate([], 1.0)

@@ -362,6 +362,16 @@ class TestSampleEuler:
             sample_euler(system, law, 2.1, 10, seed=1)
         assert "stable below" in str(err.value)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.inf, math.nan])
+    def test_bad_dt_is_refused_before_any_work(self, spec_k0, dt, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the sampler started work")
+
+        monkeypatch.setattr(simulate, "_recursion", refused)
+        system, law = assemble(spec_k0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            sample_euler(system, law, dt, 10, seed=0)
+
     def test_negative_step_count_is_refused(self, spec_k2):
         system, law = assemble(spec_k2)
         with pytest.raises(ValueError, match="n_steps"):

@@ -3,6 +3,10 @@ trip on the documented negative control."""
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -13,22 +17,20 @@ from carkov import assemble, eval_r, moments, residue_expansion, sample_exact
 from carkov import model, simulate, validate
 from carkov.covariance import CovarianceModel
 from carkov.markov import ito_from_config, ito_to_config
-from carkov.errors import DegenerateConditioning, PathTooShort
+from carkov.errors import DegenerateConditioning, NotConverged, PathTooShort
 from carkov.model import RealPolynomial
 from carkov.simulate import exact_step_operator
 from carkov.validate import (
     CLOSED_FORM_TOL,
-    PROBE_MARGIN,
-    PROBE_GAPS,
-    PROBE_MAX_FACTOR,
+    LJUNG_BOX_LAGS,
     STAT_BAND,
     _fft_length,
-    _probe_design,
-    _replicate_ensemble,
+    _levinson,
     block_standard_error,
     check_characteristic,
     check_diffusion_identity,
     check_empirical_covariance,
+    check_innovations,
     check_lyapunov,
     check_markov_factorization,
     check_ode_annihilation,
@@ -440,6 +442,162 @@ class TestEmpiricalCovariance:
             check_empirical_covariance(path, cov, lags=[-0.5])
 
 
+#: a regular k = 8 model, make_random_spec(np.random.default_rng(10), 8)
+K8_ROOTS = (
+    (-2.09820579136528, 0.5805748912574185), (2.09820579136528, 0.5805748912574185),
+    (-1.587133387666038, 0.6179899446296567), (1.587133387666038, 0.6179899446296567),
+    (-2.502490167296139, 0.7815090682216113), (2.502490167296139, 0.7815090682216113),
+    (0.0, 1.3914251927339343), (0.0, 2.556893628074381), (0.0, 2.8793928096694255),
+)
+K8_SCALE = 1.7379993595771974
+
+
+def _fast_path(spec, seed, shift=1.0):
+    """run_suite's fast-budget path of spec (1200 tau at tau / 50), drawn
+    from spec with its first root and that root's reflection partner
+    scaled by shift."""
+    roots = list(spec.roots)
+    partner = -roots[0].conjugate()
+    if roots[0] != partner:
+        roots[roots.index(partner, 1)] *= shift
+    roots[0] *= shift
+    system, law = assemble(model.validate(roots, spec.scale))
+    tau = 1.0 / min(z.imag for z in spec.roots)
+    return sample_exact(system, law, tau / 50, 60_000, seed)
+
+
+class TestInnovations:
+    def test_levinson_solves_the_toeplitz_system(self, spec_k2):
+        cov = residue_expansion(spec_k2)
+        r = eval_r(cov, 0, 0.2 * np.arange(401))
+        phi, var = _levinson(r)
+        p = phi.size
+        toeplitz = r[np.abs(np.subtract.outer(np.arange(p), np.arange(p)))]
+        assert np.allclose(toeplitz @ phi, r[1:p + 1], rtol=0, atol=1e-12)
+        assert var == pytest.approx(r[0] - phi @ r[1:p + 1], rel=1e-9)
+
+    def test_statistic_is_recomputed_from_the_filter(self, spec_k2):
+        # z from a direct Toeplitz solve and a convolution, at the order
+        # and gap in the detail: the three scores and the report agree
+        cov = residue_expansion(spec_k2)
+        path = _fast_path(spec_k2, seed=5)
+        rep = check_innovations(path, cov)
+        assert rep.passed, rep.detail
+        gap, order = rep.detail.split(",")[:2]
+        assert gap == "gap 0.2 tau"
+        p = int(order.split()[1])
+        stride = 10
+        r = eval_r(cov, 0, stride * path.dt * np.arange(p + 1))
+        toeplitz = r[np.abs(np.subtract.outer(np.arange(p), np.arange(p)))]
+        phi = np.linalg.solve(toeplitz, r[1:])
+        var = r[0] - phi @ r[1:]
+        y = path.values[0, ::stride]
+        z = (y[p:] - np.convolve(y, phi, "valid")[:-1]) / math.sqrt(var)
+        n = z.size
+        rho = np.array([z[:-h] @ z[h:] for h in range(1, LJUNG_BOX_LAGS + 1)])
+        q = n * (n + 2) * np.sum((rho / (z @ z)) ** 2
+                                 / (n - np.arange(1, LJUNG_BOX_LAGS + 1)))
+        h = LJUNG_BOX_LAGS
+        scores = (abs(z.mean()) * math.sqrt(n),
+                  abs((z @ z) / n - 1) / math.sqrt(2 / n),
+                  ((q / h) ** (1 / 3) - 1 + 2 / (9 * h)) / math.sqrt(2 / (9 * h)))
+        assert rep.statistic == pytest.approx(max(scores), rel=1e-8)
+        assert f"n = {n}:" in rep.detail
+
+    @pytest.mark.parametrize("name", ["k2", "k1_repeated", "k8"])
+    def test_detects_a_shifted_root(self, name):
+        # the path comes from the model with its first root (and its
+        # partner) moved by 10 %; the check reads the original r
+        if name == "k8":
+            spec = model.validate([complex(*z) for z in K8_ROOTS], K8_SCALE)
+        else:
+            spec = model.load_model(ROOT / "configs" / f"{name}.json")
+        cov = residue_expansion(spec)
+        for seed in range(3):
+            assert check_innovations(_fast_path(spec, seed), cov).passed
+            rep = check_innovations(_fast_path(spec, seed, 1.1), cov)
+            assert not rep.passed, (seed, rep.detail)
+
+    def test_unsettled_filter_raises(self, spec_k2, monkeypatch):
+        monkeypatch.setattr(validate, "LEVINSON_MAX_ORDER", 3)
+        cov = residue_expansion(spec_k2)
+        with pytest.raises(NotConverged,
+                           match=r"no gap .*0\.2 tau: order 3, .*; 2 tau: order 3,"):
+            check_innovations(_fast_path(spec_k2, 0), cov)
+
+    def test_small_error_variance_takes_the_next_gap(self):
+        # perfbench high_k seed 7, fast model 7 (k = 8): at 0.2 tau the
+        # filter settles at 5.8e-9 r(0), where its rounding made the
+        # whitened variance read 72 standard errors high on seed 7
+        spec = model.validate([complex(s * re, im) for re, im in (
+            (0.21036613140459337, 0.8705697955091656),
+            (1.0342735983626528, 1.7333785577984586),
+            (0.17307092532510504, 2.303709775593798),
+            (1.4564176287608788, 2.653412662705959),
+        ) for s in (-1, 1)] + [1.242118763182571j], 0.5455254415761674)
+        cov = residue_expansion(spec)
+        r = eval_r(cov, 0, 0.2 / 0.8705697955091656 * np.arange(401))
+        assert _levinson(r)[1] < validate.LEVINSON_MIN_VARIANCE * r[0]
+        for seed in (7, 0, 1):
+            rep = check_innovations(_fast_path(spec, seed), cov)
+            assert rep.passed, (seed, rep.detail)
+            assert rep.detail.startswith("gap 0.5 tau")
+
+    def test_covariance_that_is_not_positive_definite_fails(self, spec_k0):
+        cov = residue_expansion(spec_k0)
+        negated = CovarianceModel(
+            terms=tuple((-c, z, p) for c, z, p in cov.terms), k=cov.k)
+        rep = check_innovations(_fast_path(spec_k0, 0), negated)
+        assert not rep.passed
+        assert rep.statistic == math.inf
+        assert "not positive definite" in rep.detail
+
+    def test_path_too_short(self, spec_k0):
+        system, law = assemble(spec_k0)
+        path = sample_exact(system, law, 0.02, 4000, seed=3)
+        with pytest.raises(PathTooShort):
+            check_innovations(path, residue_expansion(spec_k0))
+
+    def test_memory_is_a_few_copies_of_the_strided_row(self, spec_k0):
+        # the full budget's path: 1e6 steps at tau / 100, Y every 20
+        # steps, so 50,000 samples of 0.4 MB as doubles
+        system, law = assemble(spec_k0)
+        path = sample_exact(system, law, 0.01, 1_000_000, seed=2)
+        cov = residue_expansion(spec_k0)
+        tracemalloc.start()
+        try:
+            rep = check_innovations(path, cov)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed, rep.detail
+        assert peak <= 2 << 20, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_report_does_not_depend_on_blas_threads(self):
+        # fresh interpreters with one and two BLAS threads whiten the
+        # full budget's k2 path, 50,000 samples of Y
+        code = textwrap.dedent(f"""
+            from carkov import assemble, model, residue_expansion, sample_exact
+            from carkov.validate import check_innovations
+            spec = model.load_model({str(ROOT / "configs" / "k2.json")!r})
+            system, law = assemble(spec)
+            path = sample_exact(system, law, 0.01, 1_000_000, seed=3)
+            rep = check_innovations(path, residue_expansion(spec))
+            print(repr(rep.statistic), rep.detail)
+            """)
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "MKL_NUM_THREADS": threads}
+            run = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            runs.append(run.stdout)
+        assert runs[0] == runs[1]
+        assert "n = 49" in runs[0]
+
+
 class TestPartialCorrelation:
     @staticmethod
     def _ensemble(spec, n_rep, seed=0):
@@ -509,17 +667,83 @@ class TestPartialCorrelation:
             check_partial_correlation(ens, 0, 6, 12, "bananas")
 
 
+def _design_partial_correlation(design, rows):
+    """Partial correlation of Y(0) and Y(2g) given the first rows of Z(g),
+    from the design's own covariances, for times (0, g, 2g).
+
+    Row i at time s and row j at time t have covariance sum_p w_ip w_jp
+    cos(z_p (s - t) + (i - j) pi / 2), as _spectral_rows draws them.
+    """
+    times, z, weights = design
+    w = weights[:rows]
+    idx = [(a, i) for a in range(times.size) for i in range(rows)]
+    c = np.array([[np.sum(w[i] * w[j] * np.cos(z * (times[a] - times[b])
+                                                 + (i - j) * np.pi / 2))
+                   for b, j in idx] for a, i in idx])
+    ends, given = [0, 2 * rows], list(range(rows, 2 * rows))
+    s = (c[np.ix_(ends, ends)] - c[np.ix_(ends, given)]
+         @ np.linalg.solve(c[np.ix_(given, given)], c[np.ix_(given, ends)]))
+    return s[0, 1] / math.sqrt(s[0, 0] * s[1, 1])
+
+
+class TestSpectralMarkov:
+    """The Markov property on paths that do not come from the Markov system.
+
+    spectral_replicates draws from 1/|P|^2 alone and knows nothing of A or
+    b, so the stack Z = (Y, ..., Y^(k)) of its draws is Markov only if the
+    theorem holds: Y(0) and Y(2g) are then independent given Z(g).
+    """
+
+    @staticmethod
+    def _times(spec):
+        return 0.25 * np.arange(3) / min(z.imag for z in spec.roots)
+
+    @pytest.mark.parametrize("name", ["k2", "k1_repeated"])
+    def test_stack_is_markov(self, name):
+        spec = model.load_model(ROOT / "configs" / f"{name}.json")
+        times = self._times(spec)
+        design = simulate._spectral_design(spec, times)
+        assert abs(_design_partial_correlation(design, spec.k + 1)) < 1e-5
+        reps = simulate.spectral_replicates(spec, times, 1000, seed=0)
+        vector = check_partial_correlation(reps, 0, 1, 2, "vector")
+        scalar = check_partial_correlation(reps, 0, 1, 2, "scalar")
+        assert vector.passed, vector.detail
+        assert scalar.passed, scalar.detail
+
+    def test_density_outside_the_class_fails(self, spec_k2, monkeypatch):
+        # every row's weights times |z - 10i|: the density |Q|^2/|P|^2 is
+        # outside C_k, so its stack is not Markov. R = (7 / rho)^2, at
+        # least the check's 1000, puts the expected statistic 7 standard
+        # errors out, 3 beyond the band
+        design = simulate._spectral_design
+
+        def mutated(spec, times):
+            times, z, weights = design(spec, times)
+            return times, z, weights * np.sqrt(z**2 + 100.0)
+
+        monkeypatch.setattr(simulate, "_spectral_design", mutated)
+        times = self._times(spec_k2)
+        rho = _design_partial_correlation(mutated(spec_k2, times), 3)
+        assert abs(rho) > 0.2
+        reps = simulate.spectral_replicates(
+            spec_k2, times, max(1000, math.ceil((7.0 / rho) ** 2)), seed=0)
+        vector = check_partial_correlation(reps, 0, 1, 2, "vector")
+        assert not vector.passed, vector.detail
+
+
 class TestRunSuite:
     def test_all_pass_fast(self, spec_k1_repeated):
         reports = run_suite(spec_k1_repeated, budget="fast", seed=0)
-        assert len(reports) == 8  # includes the scalar negative control
+        assert len(reports) == 7
         for rep in reports:
             assert rep.passed, f"{rep.name}: {rep.detail}"
 
-    def test_k0_has_no_scalar_control(self, spec_k0):
-        reports = run_suite(spec_k0, budget="fast", seed=0)
-        assert len(reports) == 7
-        assert all("scalar" not in rep.name for rep in reports)
+    def test_k0_gets_the_same_seven_checks(self, spec_k0, spec_k1_repeated):
+        names = [r.name for r in run_suite(spec_k0, budget="fast", seed=0)]
+        assert len(names) == 7
+        assert names[-2:] == ["empirical_covariance", "whitened_innovations"]
+        assert names == [r.name for r in
+                         run_suite(spec_k1_repeated, budget="fast", seed=0)]
 
     def test_deterministic(self, spec_k0):
         a = run_suite(spec_k0, budget="fast", seed=1)
@@ -532,39 +756,9 @@ class TestRunSuite:
         failed = {r.name for r in reports if not r.passed}
         assert "markov_factorization" in failed
 
-    def test_weak_control_model_gets_power(self):
-        # roots ten times apart: at a fixed 0.75 tau gap the population
-        # |pcorr| sqrt(1000) is 1.2, far inside the band, and the
-        # control missed; the probe design picks a gap and R that find it
-        spec = model.validate([0.25j, 2.5j], 1.0)
-        reports = {r.name: r for r in run_suite(spec, budget="fast", seed=0)}
-        vector = reports["markov_partial_correlation"]
-        scalar = reports["markov_scalar_negative_control"]
-        assert vector.passed, vector.detail
-        assert scalar.passed, scalar.detail
-        assert "expected |pcorr| sqrt(R)" in scalar.detail
-
-    def test_probe_design_reaches_margin(self):
-        rng = np.random.default_rng(41)
-        for _ in range(20):
-            spec = make_random_spec(rng, k=int(rng.integers(1, 7)))
-            system, law = assemble(spec)
-            cov = residue_expansion(spec)
-            tau = 1.0 / min(z.imag for z in spec.roots)
-            gap, rho, n_rep = _probe_design(system, law, tau, 1000)
-            # the partial correlation from Sigma and e^{A gap} agrees
-            # with the closed-form covariance
-            r0, r1, r2 = (eval_r(cov, 0, h) for h in (0.0, gap, 2 * gap))
-            assert rho == pytest.approx(
-                (r2 * r0 - r1**2) / (r0**2 - r1**2), rel=1e-6, abs=1e-9
-            )
-            assert 1000 <= n_rep <= PROBE_MAX_FACTOR * 1000
-            assert (abs(rho) * math.sqrt(n_rep) >= STAT_BAND + PROBE_MARGIN
-                    or n_rep == PROBE_MAX_FACTOR * 1000)
-
     def test_suite_builds_one_operator_per_dt(self, spec_k2, monkeypatch):
-        # the path dt and the four probe gaps: the chosen gap's operator
-        # is built once for the probe design and reused by the replicates
+        # one exact path, which both statistical checks read: one step
+        # operator, at the fast budget's dt = tau / 50
         calls = []
 
         def counted(system, law, dt):
@@ -574,44 +768,8 @@ class TestRunSuite:
         monkeypatch.setattr(simulate, "exact_step_operator", counted)
         simulate._recursion_operands.cache_clear()
         run_suite(spec_k2, budget="fast", seed=0)
-        assert len(calls) == len(set(calls)) == 1 + len(PROBE_GAPS)
-
-    def test_replicate_ensemble_law(self, spec_k2):
-        # the three states are a stationary exact-chain draw: Cov(Z(m g),
-        # Z(j g)) = e^{A (m - j) g} Sigma for j <= m, entrywise within 4
-        # standard errors of the product means
-        scipy_linalg = pytest.importorskip("scipy.linalg")
-        system, law = assemble(spec_k2)
-        gap, reps = 0.5, 50_000
-        ens = _replicate_ensemble(system, law, gap, reps, seed=3)
-        assert ens.shape == (reps, 3, 3)
-        for m in range(3):
-            for j in range(m + 1):
-                target = scipy_linalg.expm(
-                    system.companion * ((m - j) * gap)) @ law.covariance
-                prods = ens[:, :, m, None] * ens[:, None, :, j]
-                se = prods.std(axis=0) / math.sqrt(reps)
-                assert (np.abs(prods.mean(axis=0) - target)
-                        <= 4 * se).all(), (m, j)
-
-    def test_scalar_control_reaches_power_past_the_old_cap(self):
-        # perfbench high_k seed 2, fast model 10: the largest population
-        # |pcorr| over PROBE_GAPS is 0.0365, so 8000 replicates expect a
-        # statistic of 3.27, inside the band, and the control failed
-        spec = model.validate(
-            [complex(s * re, im) for re, im in (
-                (2.729836057607351, 0.20892295773072794),
-                (1.6912049903738802, 0.7392659310612562),
-                (0.40589338291345, 1.0099781875413738),
-                (2.169553189780512, 1.766256125125654),
-            ) for s in (-1, 1)],
-            1.506356472553741,
-        )
-        for seed in range(5):
-            reports = {r.name: r for r in run_suite(spec, "fast", seed)}
-            for name in ("markov_partial_correlation",
-                         "markov_scalar_negative_control"):
-                assert reports[name].passed, (seed, reports[name].detail)
+        tau = 1.0 / min(z.imag for z in spec_k2.roots)
+        assert calls == [tau / 50]
 
     def test_bad_budget(self, spec_k0):
         with pytest.raises(ValueError):
