@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -163,19 +164,7 @@ def cmd_verify(args) -> int:
     if args.out is not None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _dump_json(
-            [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "statistic": r.statistic,
-                    "threshold": r.threshold,
-                    "detail": r.detail,
-                }
-                for r in reports
-            ],
-            out_dir / "verify_report.json",
-        )
+        _dump_json([asdict(r) for r in reports], out_dir / "verify_report.json")
     return 1 if n_fail else 0
 
 
@@ -229,9 +218,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CarkovError as exc:
-        return _error_json(exc)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (CarkovError, OSError, json.JSONDecodeError, ValueError) as exc:
         return _error_json(exc)
 
 

@@ -501,7 +501,7 @@ def _recursion_operands(method, dt, drift_bytes, diffusion, cov_bytes):
         radius = np.abs(np.linalg.eigvals(step)).max()
         if radius >= 1.0:
             raise UnstableStep(
-                f"I + A dt has spectral radius {radius:.6f} >= 1 at dt = {dt}; "
+                f"I + A dt has spectral radius {radius:.6g} >= 1 at dt = {dt}; "
                 f"stable below dt = {euler_step_bound(system):.6g}"
             )
         noise_map = (system.noise_vector * math.sqrt(dt)).reshape(d, 1)
@@ -570,15 +570,13 @@ def sample_euler(
     dt: float,
     n_steps: int,
     seed: int,
-    z0: np.ndarray | None = None,
     stream: int = 0,
 ) -> SamplePath:
     """Simulate the stack with the Euler-Maruyama scheme.
 
     Z_{m+1} = Z_m + A Z_m dt + b e_k sqrt(dt) xi_m. Biased at order dt;
     kept deliberately independent of the exact sampler as a consistency
-    reference. The initial state defaults to a stationary draw; pass z0
-    to start from a fixed vector.
+    reference. The initial state is a stationary draw.
 
     Raises
     ------
@@ -594,14 +592,8 @@ def sample_euler(
     if not (0 < dt < math.inf):
         raise ValueError("dt must be positive and finite")
     step, noise_map, factor = _recursion(system, law, "euler", dt)
-    d = step.shape[0]
     rng = _generator(seed, "euler", stream)
-    if z0 is None:
-        z0 = factor @ rng.standard_normal(d)
-    else:
-        z0 = np.asarray(z0, dtype=float)
-        if z0.shape != (d,):
-            raise ValueError(f"z0 must have shape ({d},)")
+    z0 = factor @ rng.standard_normal(step.shape[0])
     values = _draw_path(step, noise_map, z0, n_steps, rng)
     return SamplePath(dt=float(dt), values=values, seed=int(seed), method="euler")
 
@@ -710,6 +702,8 @@ def _spectral_design(spec, times):
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1d array")
+    if not np.isfinite(times).all():
+        raise ValueError(f"times must be finite, got {times[~np.isfinite(times)]}")
     if times.size > 1:
         steps = np.diff(times)
         if steps.min() <= 0 or (steps.max() - steps.min()) > 1e-9 * steps.max():
@@ -836,8 +830,8 @@ def sample_spectral(
     The rows are summed over blocks of SPECTRAL_BLOCK times and panels
     (_spectral_rows), so besides its output the sampler holds one such
     block and the per-panel grid, however many times it is asked for.
-    The time grid must be uniform; the stored dt is its spacing (1.0 for
-    a single time).
+    The time grid must be finite and uniform (ValueError otherwise); the
+    stored dt is its spacing (1.0 for a single time).
     """
     times = np.asarray(times, dtype=float)
     design = _spectral_design(spec, times)

@@ -33,7 +33,7 @@ from .covariance import (
 )
 from .errors import DegenerateConditioning, NotConverged, PathTooShort
 from .markov import ItoSystem, StationaryLaw, _assemble_from_moments
-from .model import RealPolynomial, RootSpec, ode_char_poly
+from .model import RootSpec, ode_char_poly
 from .simulate import SamplePath, sample_exact
 
 #: relative tolerance for closed-form identities
@@ -49,6 +49,11 @@ BLOCK_CORR_TIMES = 10.0
 #: reach of the exact product-mean moment sums past the product lag, in
 #: correlation times; the terms it leaves out are about e^-40 relative
 ISSERLIS_CORR_TIMES = 20.0
+
+#: check_markov_factorization's u and v grid and check_ode_annihilation's
+#: t grid, in correlation times
+FACTORIZATION_GRID = (0.25, 0.5, 1.0, 2.0)
+ANNIHILATION_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
 
 #: elements per slice of the product sums and lag grids: the checks'
 #: temporaries stay at one slice whatever the path length
@@ -95,77 +100,53 @@ def _correlation_time(cov: CovarianceModel) -> float:
 # closed-form checks
 
 def check_markov_factorization(
-    cov: CovarianceModel,
-    mom: SpectralMoments,
-    u_grid=None,
-    v_grid=None,
+    cov: CovarianceModel, mom: SpectralMoments
 ) -> CheckReport:
-    """Residual of r(u+v) = sum_j alpha_j(u) r^(j)(v) over a grid.
+    """Residual of r(u+v) = sum_j alpha_j(u) r^(j)(v) over u, v in
+    FACTORIZATION_GRID correlation times.
 
     The interpolation coefficients alpha are solved from the moments, so
     passing a moments object that does not belong to cov (or a tampered
     term list) makes the residual jump far above the threshold.
     """
-    tau = _correlation_time(cov)
-    if u_grid is None:
-        u_grid = tau * np.array([0.25, 0.5, 1.0, 2.0])
-    if v_grid is None:
-        v_grid = tau * np.array([0.25, 0.5, 1.0, 2.0])
-    u_grid = np.asarray(u_grid, dtype=float)
-    v_grid = np.asarray(v_grid, dtype=float)
-    if not (u_grid > 0).all() or not (v_grid > 0).all():
-        raise ValueError("factorization grids must be strictly positive")
+    grid = _correlation_time(cov) * np.array(FACTORIZATION_GRID)
     r0 = eval_r(cov, 0, 0.0)
     worst = 0.0
-    for u in u_grid:
+    for u in grid:
         alpha = alpha_coeffs(mom, cov, float(u))
-        lhs = eval_r(cov, 0, u + v_grid)
-        rhs = np.zeros_like(v_grid)
+        lhs = eval_r(cov, 0, u + grid)
+        rhs = np.zeros_like(grid)
         for j in range(mom.k + 1):
-            rhs += alpha[j] * eval_r(cov, j, v_grid)
+            rhs += alpha[j] * eval_r(cov, j, grid)
         worst = max(worst, float(np.abs(lhs - rhs).max()) / abs(r0))
     return _report(
         "markov_factorization",
         worst,
         CLOSED_FORM_TOL,
         f"max |r(u+v) - sum_j alpha_j(u) r^(j)(v)| / r(0) = {worst:.3e} "
-        f"over a {u_grid.size}x{v_grid.size} grid",
+        f"over a {grid.size}x{grid.size} grid",
     )
 
 
-def check_ode_annihilation(
-    spec: RootSpec,
-    cov: CovarianceModel,
-    t_grid=None,
-    chi: RealPolynomial | None = None,
-) -> CheckReport:
-    """chi(d/dt) applied to the covariance must vanish on t > 0.
-
-    chi defaults to the characteristic polynomial of spec; passing a
-    perturbed polynomial is the negative control.
+def check_ode_annihilation(spec: RootSpec, cov: CovarianceModel) -> CheckReport:
+    """chi(d/dt) applied to the covariance must vanish at t in
+    ANNIHILATION_GRID correlation times, with chi the characteristic
+    polynomial of spec. A cov whose roots are not spec's leaves a residual
+    far above the threshold.
 
     chi(D) annihilates each term t^p e^{i zeta t} whatever its
     coefficient, so the residue coefficients' own rounding cancels; the
     rounding floor is max over t of sum_j (gamma(N) |b_j| + db_j) *
     term_magnitude(cov, j, t) / r(0), with N = derivative_roundings(k,
     deg chi) + deg chi + 2 (the products b_j r^(j) and their sum) and db_j
-    the default chi's own bound (_char_poly_error; 0 for a given chi).
+    chi's own bound (_char_poly_error).
     """
-    chi_err = 0.0
-    if chi is None:
-        chi = ode_char_poly(spec)
-        chi_err = _char_poly_error(spec)
-    tau = _correlation_time(cov)
-    if t_grid is None:
-        t_grid = tau * np.array([0.1, 0.5, 1.0, 2.0, 5.0])
-    t_grid = np.asarray(t_grid, dtype=float)
-    if not (t_grid > 0).all():
-        raise ValueError("annihilation grid must be strictly positive")
+    t_grid = _correlation_time(cov) * np.array(ANNIHILATION_GRID)
     r0 = eval_r(cov, 0, 0.0)
-    coefs = np.asarray(chi.coefficients)
+    coefs = np.asarray(ode_char_poly(spec).coefficients)
     deg = coefs.size - 1
     sizes = (gamma(derivative_roundings(cov.k, deg) + deg + 2) * np.abs(coefs)
-             + chi_err)
+             + _char_poly_error(spec))
     total = np.zeros_like(t_grid)
     bound = np.zeros_like(t_grid)
     for j, b in enumerate(coefs):
@@ -394,13 +375,6 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def product_mean_law(cov: CovarianceModel, dt: float, idx: int,
-                     m: int) -> tuple[float, float]:
-    """(standard error, skewness) of the mean of m products y_i y_{i+idx};
-    product_mean_laws for one lag."""
-    return product_mean_laws(cov, dt, [idx], [m])[0]
-
-
 def product_mean_laws(cov: CovarianceModel, dt: float, idxs,
                       ms) -> list[tuple[float, float]]:
     """(standard error, skewness) of the mean of ms[i] products
@@ -607,11 +581,6 @@ def check_innovations(path: SamplePath, cov: CovarianceModel) -> CheckReport:
                    f"{scores[2]:.2f}")
 
 
-def stack_paths(paths) -> np.ndarray:
-    """Stack an iterable of SamplePath into an (R, k+1, N) array."""
-    return np.stack([p.values for p in paths], axis=0)
-
-
 def check_partial_correlation(
     replicates,
     s_idx: int,
@@ -621,7 +590,7 @@ def check_partial_correlation(
 ) -> CheckReport:
     """Sample partial correlation of Y(s), Y(u) given the state at t.
 
-    replicates is an (R, k+1, N) array (or an iterable of SamplePath).
+    replicates is an (R, k+1, N) array.
     With conditioning="vector" the whole stack Z(t) is regressed out and
     the statistic |pcorr| * sqrt(R) should sit inside the normal band:
     that is the Markov property. With conditioning="scalar" only Y(t) is
@@ -629,8 +598,6 @@ def check_partial_correlation(
     a negative control (statistic and threshold negated): it passes when
     the dependence is detected.
     """
-    if not isinstance(replicates, np.ndarray):
-        replicates = stack_paths(replicates)
     reps, d, n = replicates.shape
     if reps < 1000:
         raise PathTooShort(f"{reps} replicates < 1000")

@@ -249,7 +249,7 @@ class TestSimulate:
             import contextlib, io, sys
             from carkov import model, residue_expansion
             from carkov.cli import main
-            from carkov.validate import product_mean_law
+            from carkov.validate import product_mean_laws
             with contextlib.redirect_stdout(io.StringIO()):
                 rc = main(["simulate", "--model", {K2!r}, "--method",
                            "spectral", "--dt", "0.01", "--steps", "250",
@@ -257,8 +257,8 @@ class TestSimulate:
             assert rc == 0
             cov = residue_expansion(model.load_model({K2!r}))
             for idx in (0, 499, 1996):
-                print(repr(product_mean_law(cov, 1.0 / 998, idx,
-                                            1_000_001 - idx)))
+                print(repr(product_mean_laws(cov, 1.0 / 998, [idx],
+                                             [1_000_001 - idx])[0]))
             """)
         runs = []
         for threads in ("1", "2"):

@@ -362,6 +362,15 @@ class TestSampleEuler:
             sample_euler(system, law, 2.1, 10, seed=1)
         assert "stable below" in str(err.value)
 
+    def test_unstable_step_message_stays_short(self, spec_k0):
+        # the radius grows like dt, so it is printed with %g
+        system, law = assemble(spec_k0)
+        with pytest.raises(UnstableStep) as err:
+            sample_euler(system, law, 1e300, 10, seed=1)
+        message = str(err.value)
+        assert len(message) < 120, message
+        assert message.endswith("stable below dt = 2")
+
     @pytest.mark.parametrize("dt", [0.0, -0.1, math.inf, math.nan])
     def test_bad_dt_is_refused_before_any_work(self, spec_k0, dt, monkeypatch):
         def refused(*args):
@@ -396,24 +405,21 @@ class TestSampleEuler:
         assert again.values.tobytes() == whole.tobytes()
 
     def test_recursion_reproduced_by_hand(self, spec_k1_repeated):
+        # from the path's own stationary start: the stream's first two
+        # normals drew it, and the shocks follow
         system, law = assemble(spec_k1_repeated)
         dt, n = 0.01, 25
-        z0 = np.array([0.3, -0.1])
-        path = sample_euler(system, law, dt, n, seed=9, z0=z0)
+        path = sample_euler(system, law, dt, n, seed=9)
         rng = _generator(9, "euler")
+        rng.standard_normal(2)
         shocks = rng.standard_normal((n, 1))
-        z = z0.copy()
-        expect = [z0]
+        z = path.values[:, 0].copy()
+        expect = [z]
         A, b = system.companion, system.noise_vector
         for m in range(n):
             z = z + A @ z * dt + b * math.sqrt(dt) * shocks[m, 0]
             expect.append(z)
         np.testing.assert_allclose(path.values, np.array(expect).T, rtol=1e-12)
-
-    def test_z0_shape_checked(self, spec_k1_repeated):
-        system, law = assemble(spec_k1_repeated)
-        with pytest.raises(ValueError):
-            sample_euler(system, law, 0.01, 10, seed=0, z0=np.zeros(3))
 
     def test_variance_matches_discrete_lyapunov(self, spec_k0):
         # at a coarse step the Euler chain is still an exact AR(1) whose
@@ -463,6 +469,21 @@ class TestSpectral:
             sample_spectral(spec_k0, np.array([0.0, 0.5, 1.0, 2.0]), seed=1)
         with pytest.raises(ValueError):
             sample_spectral(spec_k0, np.array([0.0, -0.5, -1.0]), seed=1)
+
+    @pytest.mark.parametrize("times", [[math.nan], [math.inf], [0.0, math.nan],
+                                       [0.0, math.inf]])
+    def test_non_finite_times_are_refused_before_any_work(self, spec_k2, times,
+                                                          monkeypatch):
+        # unchecked, a non-finite time draws an all-NaN path, fails to
+        # convert to a lag index, or doubles the grid to its cap
+        def refused(*args):
+            raise AssertionError("the design started work")
+
+        monkeypatch.setattr(simulate, "residue_expansion", refused)
+        with pytest.raises(ValueError, match="times must be finite"):
+            sample_spectral(spec_k2, times, seed=0)
+        with pytest.raises(ValueError, match="times must be finite"):
+            spectral_replicates(spec_k2, times, 2, seed=0)
 
     def test_shape_and_determinism(self, spec_k1_pair):
         times = np.arange(6) * 0.25

@@ -18,7 +18,6 @@ from carkov import model, simulate, validate
 from carkov.covariance import CovarianceModel
 from carkov.markov import ito_from_config, ito_to_config
 from carkov.errors import DegenerateConditioning, NotConverged, PathTooShort
-from carkov.model import RealPolynomial
 from carkov.simulate import exact_step_operator
 from carkov.validate import (
     CLOSED_FORM_TOL,
@@ -36,10 +35,8 @@ from carkov.validate import (
     check_ode_annihilation,
     check_partial_correlation,
     normal_score,
-    product_mean_law,
     product_mean_laws,
     run_suite,
-    stack_paths,
 )
 from conftest import make_random_spec
 
@@ -69,11 +66,6 @@ class TestFactorization:
         assert not rep.passed
         assert rep.statistic > 100 * rep.threshold
 
-    def test_rejects_bad_grid(self, spec_k0):
-        cov = residue_expansion(spec_k0)
-        with pytest.raises(ValueError):
-            check_markov_factorization(cov, moments(cov), u_grid=[0.0, 1.0])
-
 
 class TestAnnihilation:
     def test_passes(self, spec_k2):
@@ -81,9 +73,11 @@ class TestAnnihilation:
         assert rep.passed, rep.detail
 
     def test_detects_wrong_polynomial(self, spec_k1_repeated):
+        # the covariance of the roots {1i, 1i} under the characteristic
+        # polynomial of {1.05i, 1i}
         cov = residue_expansion(spec_k1_repeated)
-        wrong = RealPolynomial(coefficients=(1.1, 2.0, 1.0))
-        rep = check_ode_annihilation(spec_k1_repeated, cov, chi=wrong)
+        wrong = model.validate([1.05j, 1j], 1.0)
+        rep = check_ode_annihilation(wrong, cov)
         assert not rep.passed
 
     def test_detects_tampered_covariance_terms(self, spec_k1_pair):
@@ -306,7 +300,7 @@ class TestEmpiricalCovariance:
             var = ((m - np.abs(s)) / m**2
                    * (r[np.abs(s)] ** 2 + r[np.abs(s + idx)] * r[np.abs(s - idx)])
                    ).sum()
-            assert product_mean_law(cov, dt, idx, m)[0] == pytest.approx(
+            assert product_mean_laws(cov, dt, [idx], [m])[0][0] == pytest.approx(
                 math.sqrt(var), rel=1e-12)
 
     @pytest.mark.parametrize("idx", [0, 4, 15])
@@ -315,7 +309,7 @@ class TestEmpiricalCovariance:
         # pairings of three products, summed directly over both lags
         cov = residue_expansion(spec_k2)
         dt, m, h = 0.1, 60_000, idx
-        se, skew = product_mean_law(cov, dt, idx, m)
+        se, skew = product_mean_laws(cov, dt, [idx], [m])[0]
         reach = idx + 200
         u = np.arange(-reach, reach + 1)[:, None]
         v = np.arange(-reach, reach + 1)[None, :]
@@ -340,7 +334,7 @@ class TestEmpiricalCovariance:
         ms = [60_000 - idx for idx in idxs]
         laws = product_mean_laws(cov, dt, idxs, ms)
         for idx, m, (se, skew) in zip(idxs, ms, laws):
-            alone = product_mean_law(cov, dt, idx, m)
+            alone = product_mean_laws(cov, dt, [idx], [m])[0]
             assert se == alone[0]
             assert skew == pytest.approx(alone[1], rel=1e-12)
 
@@ -383,7 +377,7 @@ class TestEmpiricalCovariance:
         for lag in (0.0, 0.5, 1.0, 2.0):
             idx = int(round(lag / 0.02))
             prods = y[: y.size - idx] * y[idx:]
-            se, skew = product_mean_law(cov, 0.02, idx, prods.size)
+            se, skew = product_mean_laws(cov, 0.02, [idx], [prods.size])[0]
             assert f"se = {se:.3g}, skew = {skew:.3g}," in rep.detail
             x = (prods.mean() - eval_r(cov, 0, lag)) / se
             worst = max(worst, abs(normal_score(x, skew)))
@@ -402,7 +396,7 @@ class TestEmpiricalCovariance:
             m = y.size - idx
             rhat = float((y[:m] * y[idx:]).mean())
             z.append((rhat - eval_r(cov, 0, idx * dt))
-                     / product_mean_law(cov, dt, idx, m)[0])
+                     / product_mean_laws(cov, dt, [idx], [m])[0][0])
         assert np.mean(np.square(z)) == pytest.approx(1.0, abs=0.3)
         assert abs(np.mean(z)) < 0.3
 
@@ -623,17 +617,6 @@ class TestPartialCorrelation:
         assert rep.passed, rep.detail
         assert rep.statistic < rep.threshold < 0
         assert -rep.statistic > 4.0
-
-    def test_accepts_sample_path_iterable(self, spec_k0):
-        system, law = assemble(spec_k0)
-        paths = [
-            sample_exact(system, law, 0.125, 12, 0, stream=1 + r)
-            for r in range(1000)
-        ]
-        stacked = stack_paths(paths)
-        assert stacked.shape == (1000, 1, 13)
-        rep = check_partial_correlation(paths, 0, 6, 12, "vector")
-        assert rep.passed, rep.detail
 
     def test_too_few_replicates(self, spec_k0):
         ens = self._ensemble(spec_k0, 50)
