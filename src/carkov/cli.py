@@ -26,10 +26,18 @@ _SEED_ENV = "CARKOV_SEED"
 
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get(_SEED_ENV, "")
-    return int(env) if env else 0
+    """--seed, else $CARKOV_SEED, else 0; CarkovError naming the source of
+    anything but an integer >= 0."""
+    name, raw = "--seed", value
+    if value is None:
+        name, raw = f"${_SEED_ENV}", os.environ.get(_SEED_ENV) or "0"
+    try:
+        seed = int(raw)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise CarkovError(f"{name} must be an integer >= 0, got {raw!r}")
+    return seed
 
 
 def _error_json(exc: Exception) -> int:

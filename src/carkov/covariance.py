@@ -646,21 +646,3 @@ def cov_to_config(cov: CovarianceModel) -> dict:
         "k": cov.k,
     }
 
-
-def cov_from_config(cfg: dict) -> CovarianceModel:
-    """Parse and sanity-check the dict form produced by cov_to_config."""
-    try:
-        terms = tuple(
-            (
-                complex(t["coef"][0], t["coef"][1]),
-                complex(t["root"][0], t["root"][1]),
-                int(t["power"]),
-            )
-            for t in cfg["terms"]
-        )
-        k = int(cfg["k"])
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise CarkovError(f"malformed covariance config: {exc}") from exc
-    cov = CovarianceModel(terms=terms, k=k)
-    _check_term_list(cov)
-    return cov

@@ -85,7 +85,3 @@ class StepTooSmall(CarkovError):
 
 class PathTooShort(CarkovError):
     """The sample path is too short for the requested empirical check."""
-
-
-class DegenerateConditioning(CarkovError):
-    """The conditioning block of the sample covariance is singular."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import SpectralMoments, moments, residue_expansion, solve_gram
-from .errors import CarkovError, NonPositiveDiffusion, NotPositiveDefinite
+from .errors import NonPositiveDiffusion, NotPositiveDefinite
 from .model import RootSpec
 
 
@@ -24,9 +24,10 @@ class ItoSystem:
 
     The companion matrix A and the noise vector b e_k are derived from
     them. moments are the ones the system was solved from, with their
-    rounding bounds, when it came from assemble; the closed-form checks
-    derive their rounding floors from them. None (a system read from a
-    config) holds the checks to CLOSED_FORM_TOL alone.
+    rounding bounds; the closed-form checks derive their rounding floors
+    from them and refuse a system without them. They default to None only
+    for the drift/diffusion-only system that simulate builds as a cache
+    key, which never reaches a check.
     """
 
     drift: np.ndarray
@@ -93,7 +94,8 @@ def solve_diffusion(mom: SpectralMoments, drift: np.ndarray) -> float:
 
 
 def stationary_law(mom: SpectralMoments) -> StationaryLaw:
-    """Stationary covariance of the stack, checked for positive definiteness.
+    """Stationary covariance of the stack, checked for positive definiteness
+    (smallest eigenvalue above 1e-12 times the largest).
 
     Entry (i, j) with i + j odd is the odd moment r^(i+j)(0), zero by
     symmetry, with opposite signs above and below the diagonal. That
@@ -104,17 +106,12 @@ def stationary_law(mom: SpectralMoments) -> StationaryLaw:
     k = mom.k
     sigma = (-1.0) ** np.arange(k + 1)[:, None] * mom.hankel[:, : k + 1]
     sigma = (sigma + sigma.T) / 2.0
-    _check_positive_definite(sigma)
-    return StationaryLaw(covariance=sigma)
-
-
-def _check_positive_definite(sigma: np.ndarray) -> None:
-    """Raise NotPositiveDefinite unless eigvalsh(sigma) > 1e-12 * its max."""
     eigs = np.linalg.eigvalsh(sigma)
     if eigs.min() <= 1e-12 * eigs.max():
         raise NotPositiveDefinite(
             f"stationary covariance has eigenvalue {eigs.min():.3e}"
         )
+    return StationaryLaw(covariance=sigma)
 
 
 def _assemble_from_moments(
@@ -147,33 +144,3 @@ def ito_to_config(system: ItoSystem, law: StationaryLaw) -> dict:
         "sigma": [[float(x) for x in row] for row in law.covariance],
     }
 
-
-def ito_from_config(cfg: dict) -> tuple[ItoSystem, StationaryLaw]:
-    """Rebuild (ItoSystem, StationaryLaw) from the dict form.
-
-    A malformed dict or a non-finite drift or sigma raises CarkovError, a
-    b that is not finite and positive NonPositiveDiffusion, and a sigma
-    that is not a symmetric positive definite (k+1) x (k+1) matrix, by
-    the test stationary_law applies, NotPositiveDefinite. Symmetry is
-    checked exactly, as stationary_law stores it: the definiteness test
-    reads only the lower triangle.
-    """
-    try:
-        a = np.asarray([float(x) for x in cfg["a"]], dtype=float)
-        b = float(cfg["b"])
-        sigma = np.asarray(cfg["sigma"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CarkovError(f"malformed Ito config: {exc}") from exc
-    if not (np.isfinite(a).all() and np.isfinite(sigma).all()):
-        raise CarkovError("Ito config drift and sigma must be finite")
-    if not (math.isfinite(b) and b > 0):
-        raise NonPositiveDiffusion(f"b = {b} must be finite and positive")
-    k = len(a) - 1
-    if sigma.shape != (k + 1, k + 1):
-        raise NotPositiveDefinite(
-            f"sigma shape {sigma.shape} does not match drift length {k + 1}"
-        )
-    if not np.array_equal(sigma, sigma.T):
-        raise NotPositiveDefinite("sigma is not symmetric")
-    _check_positive_definite(sigma)
-    return ItoSystem(drift=a, diffusion=b), StationaryLaw(covariance=sigma)

@@ -51,13 +51,6 @@ class RealPolynomial:
 
     coefficients: tuple[float, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __call__(self, x):
-        return np.polyval(self.coefficients[::-1], x)
-
 
 def validate(roots, scale: float) -> RootSpec:
     """Check a raw root list and return the canonical spec.
@@ -183,9 +176,3 @@ def load_model(path) -> RootSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return from_config(json.load(fh))
 
-
-def save_model(spec: RootSpec, path) -> None:
-    """Write a model config JSON file that round-trips bit-exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_config(spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")

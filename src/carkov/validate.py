@@ -6,9 +6,7 @@ passed means statistic <= threshold. Closed-form identities are held to
 a-priori bound on what double precision resolves, above 1e-8 only for
 some k >= 5 models; reported in the detail). Statistical checks use
 normal-approximation bands with the deliberately loose constant 4
-because suites run many correlated comparisons. Negative controls
-(checks that are supposed to detect a broken hypothesis) are encoded
-with negated statistic and threshold so the same pass rule applies.
+because suites run many correlated comparisons.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from .covariance import (
     residue_expansion,
     term_magnitude,
 )
-from .errors import DegenerateConditioning, NotConverged, PathTooShort
+from .errors import CarkovError, NotConverged, PathTooShort
 from .markov import ItoSystem, StationaryLaw, _assemble_from_moments
 from .model import RootSpec, ode_char_poly
 from .simulate import SamplePath, sample_exact
@@ -166,9 +164,9 @@ def check_ode_annihilation(spec: RootSpec, cov: CovarianceModel) -> CheckReport:
 def check_lyapunov(system: ItoSystem, law: StationaryLaw) -> CheckReport:
     """Continuous-time Lyapunov equation of the stationary covariance.
 
-    For a system from assemble, A, Sigma and b^2 come from the same
-    moments, and the residual R has a fixed form: R_ij = 0 exactly for
-    i, j < k; R_kk is, up to sign, the drift solve's residual
+    A, Sigma and b^2 come from the same moments, which the system must
+    carry (_moments_of), and the residual R has a fixed form: R_ij = 0
+    exactly for i, j < k; R_kk is, up to sign, the drift solve's residual
     (G a - rhs)_k; R_jk = R_kj is (-1)^j ((G a - rhs)_j - o_j), where
     o_j sums the terms a_l r^(l+j)(0) and r^(k+j+1)(0) of
     markov.solve_drift's row j that have odd order (stationary_law
@@ -190,12 +188,10 @@ def check_lyapunov(system: ItoSystem, law: StationaryLaw) -> CheckReport:
     resid = A @ sigma + sigma @ A.T + forcing
     norm = np.linalg.norm(sigma, "fro")
     worst = float(np.linalg.norm(resid, "fro") / norm)
-    floor = 0.0
-    if system.moments is not None:
-        size = np.abs(A) @ np.abs(sigma)
-        bound = gamma(5 * k + 10) * (size + size.T + forcing)
-        bound[k, :k] += 2.0 * _odd_noise(system)[:k]
-        floor = float(np.linalg.norm(bound, "fro") / norm)
+    size = np.abs(A) @ np.abs(sigma)
+    bound = gamma(5 * k + 10) * (size + size.T + forcing)
+    bound[k, :k] += 2.0 * _odd_noise(system)[:k]
+    floor = float(np.linalg.norm(bound, "fro") / norm)
     return _report(
         "lyapunov_residual",
         worst,
@@ -224,16 +220,14 @@ def check_characteristic(system: ItoSystem, spec: RootSpec) -> CheckReport:
     expected = -np.asarray(chi.coefficients[: k + 1])
     scale = max(1.0, float(np.abs(expected).max()))
     worst = float(np.abs(system.drift - expected).max()) / scale
-    floor = 0.0
-    if system.moments is not None:
-        mom = system.moments
-        bounds = moment_bounds(mom, coefficients=False)[_hankel_order(k)]
-        gram = mom.hankel[:, : k + 1]
-        d_gram = bounds[:, : k + 1] + gamma(3 * (k + 1)) * np.abs(gram)
-        d_drift = np.abs(np.linalg.inv(gram)) @ (
-            d_gram @ np.abs(system.drift) + bounds[:, k + 1]
-        )
-        floor = float((d_drift + _char_poly_error(spec)[: k + 1]).max()) / scale
+    mom = _moments_of(system)
+    bounds = moment_bounds(mom, coefficients=False)[_hankel_order(k)]
+    gram = mom.hankel[:, : k + 1]
+    d_gram = bounds[:, : k + 1] + gamma(3 * (k + 1)) * np.abs(gram)
+    d_drift = np.abs(np.linalg.inv(gram)) @ (
+        d_gram @ np.abs(system.drift) + bounds[:, k + 1]
+    )
+    floor = float((d_drift + _char_poly_error(spec)[: k + 1]).max()) / scale
     return _report(
         "characteristic_consistency",
         worst,
@@ -263,14 +257,12 @@ def check_diffusion_identity(system: ItoSystem, spec: RootSpec) -> CheckReport:
     ) / spec.scale**2
     got = system.diffusion**2
     worst = abs(got - expected) / expected
-    floor = 0.0
-    if system.moments is not None:
-        mom = system.moments
-        size = (np.abs(mom.even_moments[k:]) @ np.abs(system.drift)
-                + abs(mom.top_plus))
-        d_b2 = (2.0 * moment_bounds(mom)[-1] + 2.0 * _odd_noise(system)[k]
-                + gamma(4 * k + 7) * size)
-        floor = (d_b2 + gamma(3 * (k + 1) + 4) * expected) / expected
+    mom = _moments_of(system)
+    size = (np.abs(mom.even_moments[k:]) @ np.abs(system.drift)
+            + abs(mom.top_plus))
+    d_b2 = (2.0 * moment_bounds(mom)[-1] + 2.0 * _odd_noise(system)[k]
+            + gamma(4 * k + 7) * size)
+    floor = (d_b2 + gamma(3 * (k + 1) + 4) * expected) / expected
     return _report(
         "diffusion_scale_identity",
         float(worst),
@@ -280,6 +272,15 @@ def check_diffusion_identity(system: ItoSystem, spec: RootSpec) -> CheckReport:
     )
 
 
+def _moments_of(system: ItoSystem) -> SpectralMoments:
+    """The moments system was solved from, whose rounding bounds the
+    closed-form checks of the system read; CarkovError if it has none."""
+    if system.moments is None:
+        raise CarkovError("the closed-form checks need the moments of a "
+                          "system from assemble; this ItoSystem has none")
+    return system.moments
+
+
 def _odd_noise(system: ItoSystem) -> np.ndarray:
     """Bound of |o_j| for each row j of the drift solve (see check_lyapunov).
 
@@ -287,7 +288,7 @@ def _odd_noise(system: ItoSystem) -> np.ndarray:
     order below 2k + 1. Their moments are zero by symmetry, so each is
     bounded by its full rounding bound (moment_bounds).
     """
-    mom = system.moments
+    mom = _moments_of(system)
     order = _hankel_order(mom.k)
     noise = (order % 2 == 1) & (order < 2 * mom.k + 1) & (mom.hankel != 0.0)
     bounds = np.where(noise, moment_bounds(mom)[order], 0.0)
@@ -310,20 +311,6 @@ def _char_poly_error(spec: RootSpec) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # statistical checks
-
-def block_standard_error(x: np.ndarray, block_len: int) -> float:
-    """Standard error of the mean of x from overlapping block means."""
-    m = x.size
-    block_len = max(1, min(int(block_len), m))
-    if m - block_len + 1 < 2:
-        raise PathTooShort(
-            f"{m} samples cannot support blocks of length {block_len}"
-        )
-    c = np.concatenate([[0.0], np.cumsum(x)])
-    means = (c[block_len:] - c[:-block_len]) / block_len
-    var_mean = means.var(ddof=1) * block_len / m
-    return float(math.sqrt(var_mean))
-
 
 def _sliced_dot(a, b) -> float:
     """sum(a * b) over SUM_SLICE-element slices, added in order.
@@ -465,10 +452,11 @@ def check_empirical_covariance(
 ) -> CheckReport:
     """Empirical autocovariance of Y against the closed form.
 
-    lags are in time units, >= 0, and must sit on the path grid. Each lagged
-    product mean is standardised by the model's exact standard error and
-    mapped to a normal score through its exact skewness
-    (product_mean_laws, normal_score); both are reported in the detail.
+    lags are in time units, finite and >= 0, and must sit on the path
+    grid. Each lagged product mean is standardised by the model's exact
+    standard error and mapped to a normal score through its exact
+    skewness (product_mean_laws, normal_score); both are reported in the
+    detail.
     The laws of every lag come from one r and one autoconvolution, at the
     largest lag's reach. The path must still fill 100 blocks of ten
     correlation times at every lag, so the mean is close to its normal
@@ -481,8 +469,8 @@ def check_empirical_covariance(
     if lags is None:
         lags = tau * np.array([0.0, 0.5, 1.0, 2.0])
     lags = np.asarray(lags, dtype=float)
-    if not (lags >= 0).all():
-        raise ValueError(f"lags must be >= 0, got {lags}")
+    if not (np.isfinite(lags) & (lags >= 0)).all():
+        raise ValueError(f"lags must be finite and >= 0, got {lags}")
     y = path.values[0]
     n = y.size
     dt = path.dt
@@ -579,73 +567,6 @@ def check_innovations(path: SamplePath, cov: CovarianceModel) -> CheckReport:
                    f"sqrt(n) = {scores[0]:.2f}, |mean z^2 - 1| / sqrt(2/n) = "
                    f"{scores[1]:.2f}, Ljung-Box({h}) Q = {q:.2f}, normal score "
                    f"{scores[2]:.2f}")
-
-
-def check_partial_correlation(
-    replicates,
-    s_idx: int,
-    t_idx: int,
-    u_idx: int,
-    conditioning: str = "vector",
-) -> CheckReport:
-    """Sample partial correlation of Y(s), Y(u) given the state at t.
-
-    replicates is an (R, k+1, N) array.
-    With conditioning="vector" the whole stack Z(t) is regressed out and
-    the statistic |pcorr| * sqrt(R) should sit inside the normal band:
-    that is the Markov property. With conditioning="scalar" only Y(t) is
-    regressed out; for k >= 1 that must FAIL, so the report is encoded as
-    a negative control (statistic and threshold negated): it passes when
-    the dependence is detected.
-    """
-    reps, d, n = replicates.shape
-    if reps < 1000:
-        raise PathTooShort(f"{reps} replicates < 1000")
-    if not (0 <= s_idx < t_idx < u_idx < n):
-        raise ValueError("need 0 <= s_idx < t_idx < u_idx < path length")
-    ys = replicates[:, 0, s_idx].copy()
-    yu = replicates[:, 0, u_idx].copy()
-    if conditioning == "vector":
-        cond = replicates[:, :, t_idx].copy()
-    elif conditioning == "scalar":
-        cond = replicates[:, 0:1, t_idx].copy()
-    else:
-        raise ValueError("conditioning must be 'vector' or 'scalar'")
-
-    ys -= ys.mean()
-    yu -= yu.mean()
-    cond -= cond.mean(axis=0)
-    gram = cond.T @ cond
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs.min() <= 1e-12 * max(eigs.max(), 1.0):
-        raise DegenerateConditioning(
-            f"conditioning covariance eigenvalue {eigs.min():.3e}"
-        )
-    beta_s = np.linalg.solve(gram, cond.T @ ys)
-    beta_u = np.linalg.solve(gram, cond.T @ yu)
-    res_s = ys - cond @ beta_s
-    res_u = yu - cond @ beta_u
-    denom = math.sqrt(float(res_s @ res_s) * float(res_u @ res_u))
-    if denom == 0.0:
-        raise DegenerateConditioning("zero residual variance")
-    pcorr = float(res_s @ res_u) / denom
-    raw = abs(pcorr) * math.sqrt(reps)
-    if conditioning == "vector":
-        return _report(
-            "markov_partial_correlation",
-            raw,
-            STAT_BAND,
-            f"|pcorr| = {abs(pcorr):.4f}, |pcorr| sqrt(R) = {raw:.2f} "
-            f"conditioning on the full stack",
-        )
-    return _report(
-        "markov_scalar_negative_control",
-        -raw,
-        -STAT_BAND,
-        f"|pcorr| sqrt(R) = {raw:.2f} conditioning on Y(t) alone; "
-        "this control passes only when the residual dependence is "
-        "detected (raw statistic above the band)",
-    )
 
 
 # ---------------------------------------------------------------------------

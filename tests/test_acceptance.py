@@ -25,14 +25,13 @@ from carkov import (
 from carkov import model
 from carkov.cli import main as cli_main
 from carkov.validate import (
-    block_standard_error,
     check_empirical_covariance,
     check_lyapunov,
     check_markov_factorization,
     check_ode_annihilation,
-    check_partial_correlation,
 )
 from conftest import make_random_spec
+from stat_helpers import block_standard_error, check_partial_correlation
 
 PI = math.pi
 

