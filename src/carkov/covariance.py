@@ -91,7 +91,7 @@ class SpectralMoments:
 
         G = hankel[:, :k+1] is the Gram matrix of the derivative stack.
         The last column r^(k+i+1)(0), the top for i = k, is the right-hand
-        side of the drift row (markov.solve_drift).
+        side of the moment route to the drift row (validate.moment_drift).
         """
         return np.append(self.even_moments, self.top_plus)[_hankel_order(self.k)]
 
@@ -144,6 +144,9 @@ def residue_expansion(spec: RootSpec) -> CovarianceModel:
         If two distinct roots are closer than DEGENERACY_TOL relative to
         the largest root magnitude. Exactly equal roots are fine; they
         form a single higher-multiplicity group.
+    CarkovError
+        If a coefficient, or a term of a derivative up to order 2k + 1
+        (moments takes them all), would overflow a double.
     """
     roots = sorted(spec.roots, key=lambda z: (z.imag, z.real))
     groups: list[list] = []
@@ -165,34 +168,47 @@ def residue_expansion(spec: RootSpec) -> CovarianceModel:
                     "multiplicity"
                 )
 
-    c2 = spec.scale**2
-    terms: list[tuple[complex, complex, int]] = []
-    for zg, m in groups:
-        # Qt(w) = Q(zg + w) / w^m as a power series truncated to order m-1.
-        # The group's own factor (1 - z/zg)^m contributes (-1/zg)^m * w^m,
-        # every other linear factor (1 - z/xi) contributes (a + b*w) with
-        # a = 1 - zg/xi and b = -1/xi.
-        poly = np.zeros(m, dtype=complex)
-        poly[0] = c2 * (-1.0 / zg) ** m
-        for _ in range(m):
-            xi = zg.conjugate()
-            poly = _mul_linear_truncated(poly, 1.0 - zg / xi, -1.0 / xi)
-        for zh, mh in groups:
-            if zh == zg:
-                continue
-            for xi in (zh, zh.conjugate()):
-                for _ in range(mh):
-                    poly = _mul_linear_truncated(poly, 1.0 - zg / xi, -1.0 / xi)
+    # a term of r^(j), j <= 2k + 1, is at most |coef| (2k+1)! max(1, |zeta|)^(2k+1)
+    top = 2 * spec.k + 1
+    try:
+        c2 = spec.scale**2
+        terms: list[tuple[complex, complex, int]] = []
+        for zg, m in groups:
+            # Qt(w) = Q(zg + w) / w^m as a power series truncated to order m-1.
+            # The group's own factor (1 - z/zg)^m contributes (-1/zg)^m * w^m,
+            # every other linear factor (1 - z/xi) contributes (a + b*w) with
+            # a = 1 - zg/xi and b = -1/xi.
+            poly = np.zeros(m, dtype=complex)
+            poly[0] = c2 * (-1.0 / zg) ** m
+            for _ in range(m):
+                xi = zg.conjugate()
+                poly = _mul_linear_truncated(poly, 1.0 - zg / xi, -1.0 / xi)
+            for zh, mh in groups:
+                if zh == zg:
+                    continue
+                for xi in (zh, zh.conjugate()):
+                    for _ in range(mh):
+                        poly = _mul_linear_truncated(poly, 1.0 - zg / xi, -1.0 / xi)
 
-        # reciprocal series s = 1/Qt mod w^m
-        s = np.zeros(m, dtype=complex)
-        s[0] = 1.0 / poly[0]
-        for n in range(1, m):
-            s[n] = -s[0] * np.dot(poly[1 : n + 1], s[n - 1 :: -1])
+            # reciprocal series s = 1/Qt mod w^m
+            s = np.zeros(m, dtype=complex)
+            s[0] = 1.0 / poly[0]
+            for n in range(1, m):
+                s[n] = -s[0] * np.dot(poly[1 : n + 1], s[n - 1 :: -1])
 
-        for p in range(m):
-            coef = 2j * np.pi * (1j**p / math.factorial(p)) * s[m - 1 - p]
-            terms.append((complex(coef), complex(zg), p))
+            for p in range(m):
+                coef = 2j * np.pi * (1j**p / math.factorial(p)) * s[m - 1 - p]
+                terms.append((complex(coef), complex(zg), p))
+        reach = max(abs(coef) * math.factorial(top) * max(1.0, abs(zg)) ** top
+                    for coef, zg, _p in terms)
+    except OverflowError:
+        reach = math.inf
+    if not reach < math.inf:
+        raise CarkovError(
+            f"roots of modulus {min(abs(z) for z in roots):.3g} to {max_mag:.3g} "
+            f"at scale {spec.scale:.3g} give residue terms that overflow a "
+            f"double in the derivatives up to order {top}"
+        )
 
     cov = CovarianceModel(terms=tuple(terms), k=spec.k)
     _check_term_list(cov)
@@ -286,9 +302,10 @@ def moments(cov: CovarianceModel) -> SpectralMoments:
     """Derivative moments r^(j)(0) for j <= 2k plus the one-sided top.
 
     Odd-order entries vanish by symmetry, and each keeps the value its
-    terms sum to: the drift solve's rounding errors cancel against these
-    values, and validate._odd_noise bounds them. Each value comes with
-    the summed magnitude of its terms (term_magnitude at 0).
+    terms sum to: the Gram solves (alpha_coeffs and validate.moment_drift)
+    take them as they are, and markov.stationary_law sets them to zero.
+    Each value comes with the summed magnitude of its terms
+    (term_magnitude at 0).
     """
     vals = []
     for j in range(2 * cov.k + 1):

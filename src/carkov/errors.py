@@ -54,7 +54,7 @@ class SingularGram(CarkovError):
 # Markov system assembly
 
 class NonPositiveDiffusion(CarkovError):
-    """The squared diffusion coefficient came out non-positive."""
+    """The squared diffusion coefficient is not positive and finite."""
 
 
 class NotPositiveDefinite(CarkovError):

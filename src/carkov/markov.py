@@ -1,9 +1,13 @@
 """Assembly of the first-order Ito system satisfied by the derivative stack.
 
 The stack Z = (Y, Y', ..., Y^(k)) obeys dZ = A Z dt + b e_k dW with a
-companion-form drift matrix A. The last-row coefficients a_0..a_k solve a
-linear system in the derivative moments of the covariance, and b^2 falls
-out of the covariance's one-sided 2k+1-st derivative at the origin.
+companion-form drift matrix A. Both come from the roots in closed form:
+the last row a_0..a_k is minus the low coefficients of the characteristic
+polynomial chi, and b^2 = 2 pi prod |zeta_j|^2 / scale^2. The stationary
+covariance is the matrix of the residue expansion's derivative moments.
+The moment route to a and b^2 (a Gram solve, and the jump of the
+covariance's 2k+1-st derivative at the origin) is the verification
+suite's cross-check, not the source of the system.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import SpectralMoments, moments, residue_expansion, solve_gram
+from .covariance import SpectralMoments, _hankel_order, moments, residue_expansion
 from .errors import NonPositiveDiffusion, NotPositiveDefinite
-from .model import RootSpec
+from .model import RootSpec, ode_char_poly
 
 
 @dataclass(frozen=True)
@@ -23,9 +27,9 @@ class ItoSystem:
     """Drift row a_0..a_k and diffusion b of dZ = A Z dt + b e_k dW.
 
     The companion matrix A and the noise vector b e_k are derived from
-    them. moments are the ones the system was solved from, with their
-    rounding bounds; the closed-form checks derive their rounding floors
-    from them and refuse a system without them. They default to None only
+    them. moments are the residue moments the stationary law came from,
+    with their rounding bounds; the closed-form checks compare the system
+    with them and refuse a system without them. They default to None only
     for the drift/diffusion-only system that simulate builds as a cache
     key, which never reaches a check.
     """
@@ -64,48 +68,18 @@ class StationaryLaw:
         return self.covariance.shape[0] - 1
 
 
-def solve_drift(mom: SpectralMoments) -> np.ndarray:
-    """Drift coefficients a_0..a_k from the moment system.
-
-    Row i states r^(k+i+1)(0+) = sum_j a_j r^(i+j)(0); the right hand
-    side of the last row is the one-sided top derivative.
-    """
-    return solve_gram(mom, mom.hankel[:, -1])
-
-
-def solve_diffusion(mom: SpectralMoments, drift: np.ndarray) -> float:
-    """Diffusion coefficient b > 0.
-
-    b^2 = sum_j a_j r^(j+k)(0) (-1)^(j+1) + (-1)^k r^(2k+1)(0-), where the
-    left limit of the top derivative is minus the right limit.
-    """
-    k = mom.k
-    top_minus = -mom.top_plus
-    b2 = float(
-        sum(
-            drift[j] * mom.even_moments[j + k] * (-1.0) ** (j + 1)
-            for j in range(k + 1)
-        )
-        + (-1.0) ** k * top_minus
-    )
-    if not (b2 > 0):
-        raise NonPositiveDiffusion(f"b^2 = {b2} must be positive")
-    return math.sqrt(b2)
-
-
 def stationary_law(mom: SpectralMoments) -> StationaryLaw:
     """Stationary covariance of the stack, checked for positive definiteness
     (smallest eigenvalue above 1e-12 times the largest).
 
     Entry (i, j) with i + j odd is the odd moment r^(i+j)(0), zero by
-    symmetry, with opposite signs above and below the diagonal. That
-    moment is kept as rounding noise (see moments), so the matrix is
-    stored as (Sigma + Sigma^T) / 2, which makes those entries exactly
-    zero and keeps the even ones as they are.
+    symmetry; moments keeps it as the rounding noise its terms sum to, so
+    those entries are set to zero here, and the matrix is symmetric.
     """
     k = mom.k
-    sigma = (-1.0) ** np.arange(k + 1)[:, None] * mom.hankel[:, : k + 1]
-    sigma = (sigma + sigma.T) / 2.0
+    order = _hankel_order(k)[:, : k + 1]
+    sigma = np.where(order % 2 == 1, 0.0,
+                     (-1.0) ** np.arange(k + 1)[:, None] * mom.hankel[:, : k + 1])
     eigs = np.linalg.eigvalsh(sigma)
     if eigs.min() <= 1e-12 * eigs.max():
         raise NotPositiveDefinite(
@@ -115,22 +89,33 @@ def stationary_law(mom: SpectralMoments) -> StationaryLaw:
 
 
 def _assemble_from_moments(
-    mom: SpectralMoments,
+    spec: RootSpec, mom: SpectralMoments
 ) -> tuple[ItoSystem, StationaryLaw]:
-    """Ito system, carrying mom, and stationary law from the moments."""
-    a = solve_drift(mom)
-    system = ItoSystem(drift=a, diffusion=solve_diffusion(mom, a), moments=mom)
+    """Ito system of spec, carrying mom, and the stationary law from mom.
+
+    The drift row is -chi and b^2 = 2 pi prod |zeta_j|^2 / scale^2, the
+    jump of the covariance's 2k+1-st derivative at the origin in closed
+    form. NonPositiveDiffusion if b^2 is not positive and finite: it
+    underflows to 0, for one, for six roots of size 1e-60.
+    """
+    b2 = float(2.0 * np.pi * np.prod([abs(z) ** 2 for z in spec.roots])
+               / spec.scale**2)
+    if not 0.0 < b2 < math.inf:
+        raise NonPositiveDiffusion(f"b^2 = {b2} must be positive and finite")
+    drift = -np.asarray(ode_char_poly(spec).coefficients[: spec.k + 1])
+    system = ItoSystem(drift=drift, diffusion=math.sqrt(b2), moments=mom)
     return system, stationary_law(mom)
 
 
 def assemble(spec: RootSpec) -> tuple[ItoSystem, StationaryLaw]:
     """Full pipeline from a validated root spec to the Ito system.
 
-    Runs residue expansion, takes moments and solves for drift and
-    diffusion. The system carries the moments, whose rounding bounds the
-    verification suite's closed-form checks use.
+    The drift and diffusion come from the roots; the residue expansion's
+    moments give the stationary covariance and travel with the system,
+    for the verification suite's closed-form checks to compare the two
+    routes.
     """
-    return _assemble_from_moments(moments(residue_expansion(spec)))
+    return _assemble_from_moments(spec, moments(residue_expansion(spec)))
 
 
 # ---------------------------------------------------------------------------

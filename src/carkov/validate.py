@@ -27,6 +27,7 @@ from .covariance import (
     moment_bounds,
     moments,
     residue_expansion,
+    solve_gram,
     term_magnitude,
 )
 from .errors import CarkovError, NotConverged, PathTooShort
@@ -144,7 +145,7 @@ def check_ode_annihilation(spec: RootSpec, cov: CovarianceModel) -> CheckReport:
     coefs = np.asarray(ode_char_poly(spec).coefficients)
     deg = coefs.size - 1
     sizes = (gamma(derivative_roundings(cov.k, deg) + deg + 2) * np.abs(coefs)
-             + _char_poly_error(spec))
+             + _char_poly_error([abs(z) for z in spec.roots]))
     total = np.zeros_like(t_grid)
     bound = np.zeros_like(t_grid)
     for j, b in enumerate(coefs):
@@ -164,21 +165,18 @@ def check_ode_annihilation(spec: RootSpec, cov: CovarianceModel) -> CheckReport:
 def check_lyapunov(system: ItoSystem, law: StationaryLaw) -> CheckReport:
     """Continuous-time Lyapunov equation of the stationary covariance.
 
-    A, Sigma and b^2 come from the same moments, which the system must
-    carry (_moments_of), and the residual R has a fixed form: R_ij = 0
-    exactly for i, j < k; R_kk is, up to sign, the drift solve's residual
-    (G a - rhs)_k; R_jk = R_kj is (-1)^j ((G a - rhs)_j - o_j), where
-    o_j sums the terms a_l r^(l+j)(0) and r^(k+j+1)(0) of
-    markov.solve_drift's row j that have odd order (stationary_law
-    stores those entries of Sigma as zero). The even moments' errors
-    thus cancel; only the odd moments, zero by symmetry up to rounding
-    noise, enter. The rounding floor is
-    ||E||_F / ||Sigma||_F with E = gamma(5k + 10) (S + S' +
-    b^2 e_k e_k'), S = |A||Sigma| (3(k+1) roundings for the solve's
-    backward error, Higham 2002, Theorem 9.4, with |L||U| taken as |G|;
-    k + 3 for an entry of R; k + 4 for b^2), plus the bound of 2 |o_j|
-    (_odd_noise) in row k, which covers |o_j| in both row k and column k
-    in the Frobenius norm.
+    A and b^2 come from the roots and Sigma from the residue moments the
+    system carries (_moments_of): R = A Sigma + Sigma A' + b^2 e_k e_k'
+    is zero only if the two routes agree. The exact inputs give R = 0, so
+    the rounding floor ||E||_F / ||Sigma||_F takes E, a first-order bound
+    on |R|, as the sum of: gamma(k + 3) (S + S' + b^2 e_k e_k'), S =
+    |A||Sigma|, for R's own evaluation (k + 1 roundings per inner
+    product, two adds); |A| dSigma + dSigma |A|' for Sigma, dSigma the
+    even-order moment_bounds (the odd-order entries are exactly zero);
+    e_k dchi'|Sigma| and its transpose for A, whose row k is off by chi's
+    bound dchi (_char_poly_error, on the moduli of A's eigenvalues, which
+    are i zeta_j to rounding); gamma(3(k+1) + 7) b^2 e_k e_k' for b^2
+    (as in check_diffusion_identity).
     """
     A = system.companion
     sigma = law.covariance
@@ -188,9 +186,17 @@ def check_lyapunov(system: ItoSystem, law: StationaryLaw) -> CheckReport:
     resid = A @ sigma + sigma @ A.T + forcing
     norm = np.linalg.norm(sigma, "fro")
     worst = float(np.linalg.norm(resid, "fro") / norm)
+    order = _hankel_order(k)[:, : k + 1]
+    d_sigma = np.where(order % 2 == 1, 0.0,
+                       moment_bounds(_moments_of(system))[order])
     size = np.abs(A) @ np.abs(sigma)
-    bound = gamma(5 * k + 10) * (size + size.T + forcing)
-    bound[k, :k] += 2.0 * _odd_noise(system)[:k]
+    spread = np.abs(A) @ d_sigma
+    bound = (gamma(k + 3) * (size + size.T + forcing) + spread + spread.T
+             + gamma(3 * (k + 1) + 7) * forcing)
+    drift_error = (_char_poly_error(np.abs(np.linalg.eigvals(A)))[: k + 1]
+                   @ np.abs(sigma))
+    bound[k] += drift_error
+    bound[:, k] += drift_error
     floor = float(np.linalg.norm(bound, "fro") / norm)
     return _report(
         "lyapunov_residual",
@@ -201,13 +207,24 @@ def check_lyapunov(system: ItoSystem, law: StationaryLaw) -> CheckReport:
     )
 
 
+def moment_drift(system: ItoSystem) -> tuple[np.ndarray, float]:
+    """Drift row of the residue route, solved from the moments system
+    carries (SpectralMoments.hankel, odd moments as their terms sum to),
+    and its largest absolute gap to system.drift: for an assembled
+    system, the one place the drift is compared with chi."""
+    mom = _moments_of(system)
+    drift = solve_gram(mom, mom.hankel[:, -1])
+    return drift, float(np.abs(system.drift - drift).max())
+
+
 def check_characteristic(system: ItoSystem, spec: RootSpec) -> CheckReport:
-    """Drift row solved from moments vs the expanded root polynomial.
+    """Drift row -chi of the system vs the one solved from its moments
+    (moment_drift), relative to max(1, max |a_j|).
 
     The computed moments are those of the residue terms with their
     rounded coefficients, up to the roundings of the sums that evaluate
-    them. chi(D) annihilates that term list too, so its drift is exactly
-    -chi, and only the evaluation counts (moment_bounds with
+    them. chi(D) annihilates that term list too, so the solved drift is
+    exactly -chi, and only the evaluation counts (moment_bounds with
     coefficients=False). The rounding floor is
     max_j (da_j + dchi_j) / scale: Skeel's bound da = |G^-1| (|dG| |a| +
     |drhs|) (Higham 2002, section 7.2) on the drift solve, with the
@@ -215,19 +232,19 @@ def check_characteristic(system: ItoSystem, spec: RootSpec) -> CheckReport:
     as |G|) added to dG, and dchi the root expansion's bound
     (_char_poly_error).
     """
-    chi = ode_char_poly(spec)
     k = spec.k
-    expected = -np.asarray(chi.coefficients[: k + 1])
-    scale = max(1.0, float(np.abs(expected).max()))
-    worst = float(np.abs(system.drift - expected).max()) / scale
+    scale = max(1.0, float(np.abs(system.drift).max()))
+    solved, gap = moment_drift(system)
+    worst = gap / scale
     mom = _moments_of(system)
     bounds = moment_bounds(mom, coefficients=False)[_hankel_order(k)]
     gram = mom.hankel[:, : k + 1]
     d_gram = bounds[:, : k + 1] + gamma(3 * (k + 1)) * np.abs(gram)
     d_drift = np.abs(np.linalg.inv(gram)) @ (
-        d_gram @ np.abs(system.drift) + bounds[:, k + 1]
+        d_gram @ np.abs(solved) + bounds[:, k + 1]
     )
-    floor = float((d_drift + _char_poly_error(spec)[: k + 1]).max()) / scale
+    d_chi = _char_poly_error([abs(z) for z in spec.roots])[: k + 1]
+    floor = float((d_drift + d_chi).max()) / scale
     return _report(
         "characteristic_consistency",
         worst,
@@ -238,65 +255,43 @@ def check_characteristic(system: ItoSystem, spec: RootSpec) -> CheckReport:
 
 
 def check_diffusion_identity(system: ItoSystem, spec: RootSpec) -> CheckReport:
-    """b^2 from the moment route vs 2 pi prod |zeta_j|^2 / scale^2.
+    """b^2 = 2 pi prod |zeta_j|^2 / scale^2 of the system vs the moment
+    route's -2 (-1)^k r^(2k+1)(0+), the jump of the covariance's
+    2k+1-st derivative at the origin, from the moments the system carries.
 
-    The exact b^2 is -2 (-1)^k top. solve_diffusion computes
-    -(-1)^k ((G a)_k - 2 o_k + top) (o_k as in check_lyapunov), and the
-    solve makes (G a)_k = top, so the even moments' errors cancel. The
-    rounding floor is (2 dtop + 2 |o_k| + gamma(4k + 7) (sum_j
-    |a_j r^(j+k)(0)| + |top|) + gamma(3(k+1) + 4) expected) / expected,
-    with dtop the top's bound and |o_k| bounded by _odd_noise: 3(k+1)
-    roundings for the solve, k + 2 for the sum, 2 for b = sqrt(b^2)
-    squared again, and 3(k+1) + 4 for the product (|zeta|, its square
-    and the product per root; 2 pi, the scale's square and two more
-    products).
+    The rounding floor is (2 dtop + gamma(3(k+1) + 7) b^2) / b^2, with
+    dtop the top's bound (moment_bounds): 3(k+1) + 4 roundings for the
+    product (|zeta|, its square and the product per root; 2 pi, the
+    scale's square and two more products), and 3 for b = sqrt(b^2)
+    squared again.
     """
     k = spec.k
-    expected = 2.0 * np.pi * np.prod(
-        [abs(z) ** 2 for z in spec.roots]
-    ) / spec.scale**2
     got = system.diffusion**2
-    worst = abs(got - expected) / expected
     mom = _moments_of(system)
-    size = (np.abs(mom.even_moments[k:]) @ np.abs(system.drift)
-            + abs(mom.top_plus))
-    d_b2 = (2.0 * moment_bounds(mom)[-1] + 2.0 * _odd_noise(system)[k]
-            + gamma(4 * k + 7) * size)
-    floor = (d_b2 + gamma(3 * (k + 1) + 4) * expected) / expected
+    moment_b2 = -2.0 * (-1.0) ** k * mom.top_plus
+    worst = abs(got - moment_b2) / got
+    floor = (2.0 * moment_bounds(mom)[-1] + gamma(3 * (k + 1) + 7) * got) / got
     return _report(
         "diffusion_scale_identity",
         float(worst),
         max(CLOSED_FORM_TOL, floor),
-        f"b^2 = {got:.12g} vs spectral product {expected:.12g}; "
+        f"b^2 = {got:.12g} vs moment route {moment_b2:.12g}; "
         f"rounding floor {floor:.3e}",
     )
 
 
 def _moments_of(system: ItoSystem) -> SpectralMoments:
-    """The moments system was solved from, whose rounding bounds the
-    closed-form checks of the system read; CarkovError if it has none."""
+    """The residue moments system carries, which the closed-form checks
+    compare it with; CarkovError if it has none."""
     if system.moments is None:
         raise CarkovError("the closed-form checks need the moments of a "
                           "system from assemble; this ItoSystem has none")
     return system.moments
 
 
-def _odd_noise(system: ItoSystem) -> np.ndarray:
-    """Bound of |o_j| for each row j of the drift solve (see check_lyapunov).
-
-    o_j sums the nonzero terms a_l r^(l+j)(0) and r^(k+j+1)(0) of odd
-    order below 2k + 1. Their moments are zero by symmetry, so each is
-    bounded by its full rounding bound (moment_bounds).
-    """
-    mom = _moments_of(system)
-    order = _hankel_order(mom.k)
-    noise = (order % 2 == 1) & (order < 2 * mom.k + 1) & (mom.hankel != 0.0)
-    bounds = np.where(noise, moment_bounds(mom)[order], 0.0)
-    return bounds @ np.append(np.abs(system.drift), 1.0)
-
-
-def _char_poly_error(spec: RootSpec) -> np.ndarray:
-    """Rounding bound of each ode_char_poly coefficient, lowest order first.
+def _char_poly_error(moduli) -> np.ndarray:
+    """Rounding bound of each ode_char_poly coefficient, lowest order first,
+    from the moduli |zeta_j| of the roots.
 
     The expansion folds in one root per stage with a complex product and
     an add (4 roundings), so coefficient j is within gamma(4(k+1)) times
@@ -304,9 +299,9 @@ def _char_poly_error(spec: RootSpec) -> np.ndarray:
     prod_j (lam + |zeta_j|).
     """
     sizes = np.array([1.0])
-    for z in spec.roots:
-        sizes = np.convolve(sizes, np.array([1.0, abs(z)]))
-    return gamma(4 * len(spec.roots)) * sizes[::-1]
+    for m in moduli:
+        sizes = np.convolve(sizes, np.array([1.0, m]))
+    return gamma(4 * len(moduli)) * sizes[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +592,7 @@ def run_suite(spec: RootSpec, budget: str = "fast", seed: int = 0,
     prof = _PROFILES[budget]
     cov = residue_expansion(spec)
     mom = moments(cov)
-    system, law = _assemble_from_moments(mom)
+    system, law = _assemble_from_moments(spec, mom)
     tau = _correlation_time(cov)
     if perturb_coef != 0.0:
         first = cov.terms[0]

@@ -35,6 +35,8 @@ class TestAnalyze:
         np.testing.assert_allclose(data["ito"]["a"], [-1.0], rtol=1e-12)
         assert data["ito"]["b_squared"] == pytest.approx(2 * math.pi, rel=1e-12)
         assert data["eigen_check"]["max_abs_error"] < 1e-10
+        assert data["drift_vs_char_poly"]["a_from_moments"] == pytest.approx(
+            [-1.0], rel=1e-12)
         assert data["drift_vs_char_poly"]["max_abs_difference"] < 1e-10
 
     def test_k2_structure(self, tmp_path):
@@ -344,6 +346,22 @@ class TestErrorHandling:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "CarkovError"
         assert err["message"] == "roots [infj] and scale 1.0 must be finite"
+
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["simulate", "--method", "exact"], ["verify"]])
+    @pytest.mark.parametrize("roots, scale, named", [
+        ([[0, 1e200], [0, 2e200]], 1.0, "modulus 1e+200 to 2e+200 at scale 1"),
+        ([[0, 1e-300], [0, 2e-300]], 1e300,
+         "modulus 1e-300 to 2e-300 at scale 1e+300")])
+    def test_overflowing_residue_terms_exit_2(self, tmp_path, capsys, command,
+                                              roots, scale, named):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"roots": roots, "scale": scale}))
+        argv = command + ["--model", str(bad), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CarkovError"
+        assert named in err["message"]
 
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     @pytest.mark.parametrize("seed, env, named", [

@@ -32,6 +32,7 @@ from carkov.covariance import (
     cov_to_config,
     derivative_terms,
     moment_bounds,
+    solve_gram,
 )
 from carkov.errors import (
     NearDegenerateRoots,
@@ -39,7 +40,6 @@ from carkov.errors import (
     OrderTooHigh,
     SingularGram,
 )
-from carkov.markov import solve_drift
 from conftest import make_random_spec
 
 PI = math.pi
@@ -158,8 +158,8 @@ class TestMoments:
 
     @pytest.mark.parametrize("k", range(1, 15))
     def test_odd_orders_are_zero_within_their_bound(self, k):
-        # the premise of validate._odd_noise: an odd moment, zero by
-        # symmetry, departs from zero by at most its rounding bound
+        # an odd moment, zero by symmetry, departs from zero by at most
+        # its rounding bound
         rng = np.random.default_rng(100 + k)
         for _ in range(20):
             mom = moments(residue_expansion(make_random_spec(rng, k)))
@@ -215,7 +215,7 @@ class TestAlphaCoeffs:
         with pytest.raises(SingularGram):
             alpha_coeffs(broken, cov, 1.0)
         with pytest.raises(SingularGram):
-            solve_drift(broken)
+            solve_gram(broken, broken.hankel[:, -1])
 
 
 class TestQuadratureOracle:

@@ -1,4 +1,5 @@
-"""Drift/diffusion solvers, stationary law, and the assembled Ito system."""
+"""Drift and diffusion from the roots, stationary law, and the assembled
+Ito system."""
 
 import json
 import math
@@ -6,16 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from carkov import assemble, moments, residue_expansion
+from carkov import assemble, residue_expansion
 from carkov import model
 from carkov.covariance import SpectralMoments
 from carkov.errors import NonPositiveDiffusion, NotPositiveDefinite
-from carkov.markov import (
-    ito_to_config,
-    solve_diffusion,
-    solve_drift,
-    stationary_law,
-)
+from carkov.markov import ito_to_config, stationary_law
 from conftest import make_random_spec
 
 PI = math.pi
@@ -56,27 +52,26 @@ class TestGoldens:
 
 class TestConsistency:
     def test_drift_matches_characteristic_polynomial(self):
+        # the drift row is -chi bit for bit, at every k
         rng = np.random.default_rng(21)
-        for _ in range(20):
-            spec = make_random_spec(rng)
+        for k in list(range(5)) * 4 + list(range(5, 11)):
+            spec = make_random_spec(rng, k)
             system, _ = assemble(spec)
             chi = model.ode_char_poly(spec)
-            np.testing.assert_allclose(
-                system.drift,
-                [-c for c in chi.coefficients[: spec.k + 1]],
-                rtol=1e-8,
-                atol=1e-10,
+            np.testing.assert_array_equal(
+                system.drift, [-c for c in chi.coefficients[: spec.k + 1]]
             )
 
     def test_diffusion_product_identity(self):
-        # b^2 c^2 = 2 pi prod |zeta_j|^2
+        # b^2 c^2 = 2 pi prod |zeta_j|^2, and b is the root of that product
         rng = np.random.default_rng(22)
-        for _ in range(20):
-            spec = make_random_spec(rng)
+        for k in list(range(5)) * 4 + list(range(5, 11)):
+            spec = make_random_spec(rng, k)
             system, _ = assemble(spec)
-            target = 2 * PI * np.prod([abs(z) ** 2 for z in spec.roots])
+            product = 2 * PI * np.prod([abs(z) ** 2 for z in spec.roots])
+            assert system.diffusion == math.sqrt(product / spec.scale**2)
             assert system.diffusion**2 * spec.scale**2 == pytest.approx(
-                target, rel=1e-8
+                product, rel=1e-14
             )
 
     def test_lyapunov_equation(self):
@@ -128,13 +123,13 @@ class TestConsistency:
 
 
 class TestErrorPaths:
-    def test_non_positive_diffusion(self, spec_k0):
-        mom = moments(residue_expansion(spec_k0))
-        flipped = SpectralMoments(
-            even_moments=mom.even_moments, top_plus=-mom.top_plus
+    def test_non_positive_diffusion(self):
+        # prod |zeta_j|^2 = 1e-720 underflows to 0
+        spec = model.validate(
+            [1e-60j * x for x in (1.0, 1.3, 1.6, 1.9, 2.2, 2.5)], 1.0
         )
-        with pytest.raises(NonPositiveDiffusion):
-            solve_diffusion(flipped, solve_drift(flipped))
+        with pytest.raises(NonPositiveDiffusion, match="b\\^2 = 0.0"):
+            assemble(spec)
 
     def test_not_positive_definite(self):
         bad = SpectralMoments(even_moments=(1.0, 0.0, 1.0), top_plus=1.0)

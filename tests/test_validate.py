@@ -166,7 +166,7 @@ class TestRoundingFloors:
         for _ in range(5):
             spec = make_random_spec(rng, k)
             cov = residue_expansion(spec)
-            system, _ = assemble(spec)
+            system, law = assemble(spec)
             coef, root, power = cov.terms[0]
             bent = CovarianceModel(
                 terms=((coef, root * 1.001, power),) + cov.terms[1:], k=k
@@ -175,10 +175,15 @@ class TestRoundingFloors:
             assert not rep.passed, rep.detail
             drift = system.drift.copy()
             drift[np.argmax(np.abs(drift))] *= 1 + 1e-4
-            rep = check_characteristic(
-                dataclasses.replace(system, drift=drift), spec
-            )
-            assert not rep.passed, rep.detail
+            tampered = dataclasses.replace(system, drift=drift)
+            for rep in (check_characteristic(tampered, spec),
+                        check_lyapunov(tampered, law)):
+                assert not rep.passed, rep.detail
+            tampered = dataclasses.replace(
+                system, diffusion=system.diffusion * (1 + 1e-4))
+            for rep in (check_diffusion_identity(tampered, spec),
+                        check_lyapunov(tampered, law)):
+                assert not rep.passed, rep.detail
 
     @pytest.mark.parametrize("check", ["lyapunov", "characteristic",
                                        "diffusion_identity"])
