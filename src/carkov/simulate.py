@@ -17,6 +17,7 @@ stream and any replicate can be regenerated in isolation.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -124,11 +125,17 @@ def _stationary_factor(covariance: np.ndarray) -> np.ndarray:
 #: to 14 % (20,000 steps, time-major paths, 2-core Xeon)
 SCAN_BLOCK = 16
 
-#: blocks per chunk: the carries of one chunk are scanned together, and
-#: the samplers draw one chunk of shocks at a time. 2048 keeps a
-#: 20,000-step path (1,250 blocks) in one chunk; at 1,024 blocks such
-#: paths ran up to 13 % slower (d = 3 and d = 9, 2-core Xeon)
-SCAN_CHUNK_BLOCKS = 2048
+#: bytes of shocks per chunk: the carries of one chunk are scanned
+#: together, and the samplers draw one chunk of shocks at a time into one
+#: buffer. A chunk is min(2048, SCAN_CHUNK_BYTES // (8 SCAN_BLOCK q))
+#: blocks at q shocks per step (_chunk_blocks): 2048 blocks (32,768
+#: steps) up to q = 3, so every Euler path (q = 1) and the exact paths of
+#: d <= 3 keep one 20,000-step path in one chunk, and 682 blocks at
+#: q = 9. The budget bounds the shock buffer and the operand that BLAS
+#: packs, and keeps, for the product of a chunk's shock rows with the
+#: table's last columns: 0.79 MB each at d = 9, where 2048 blocks would
+#: make them 2.36 MB
+SCAN_CHUNK_BYTES = 768 * 1024
 
 #: blocks per row slice of the state product: the slice's entering states
 #: and shocks are copied into one buffer and its product with the scan
@@ -175,6 +182,12 @@ def _scan_tables(step_bytes, noise_bytes, d, q, B):
     table[d:] = responses[lag].transpose(0, 3, 1, 2).reshape(B * q, B * d)
     table.flags.writeable = False
     return table
+
+
+def _chunk_blocks(q):
+    """Blocks per scan chunk at q shocks per step: as many as hold
+    SCAN_CHUNK_BYTES of shocks, at most 2048 and at least one."""
+    return max(1, min(2048, SCAN_CHUNK_BYTES // (8 * SCAN_BLOCK * q)))
 
 
 def _doubling_scan(rows, power_t):
@@ -269,16 +282,17 @@ def ar1_recursion(step, noise_map, z0, shocks, out=None):
     doubling scan must decay for its sums to stay accurate over long
     paths, hence the radius condition.
 
-    The path is walked in chunks of SCAN_CHUNK_BLOCKS blocks, carrying
-    the last state from one to the next. Within a chunk only the local
-    ends and the entering states, one state per block, are formed at
-    once. The path is stored time-major, so a block's states are
-    contiguous in it, in the order of one row of the table product:
-    SCAN_SLICE_BLOCKS blocks at a time, the rows [c_b | shocks] are
-    copied into one buffer whose product with the table is written
-    straight into the path (_scan_chunk). So the temporaries stay below
-    a third of a chunk of states whatever the path length, and no state
-    of the path is formed in a temporary. The table and the radius check depend only on step and
+    The path is walked in chunks of _chunk_blocks(q) blocks, as many as
+    hold SCAN_CHUNK_BYTES of shocks and at most 2048, carrying the last
+    state from one to the next. Within a chunk only the local ends and
+    the entering states, one state per block, are formed at once. The
+    path is stored time-major, so a block's states are contiguous in it,
+    in the order of one row of the table product: SCAN_SLICE_BLOCKS
+    blocks at a time, the rows [c_b | shocks] are copied into one buffer
+    whose product with the table is written straight into the path
+    (_scan_chunk). So the temporaries have a fixed size whatever the path
+    length and the state size, and no state of the path is formed in a
+    temporary. The table and the radius check depend only on step and
     noise_map and are built once per pair.
     """
     step = np.asarray(step, dtype=float)
@@ -301,10 +315,10 @@ def ar1_recursion(step, noise_map, z0, shocks, out=None):
 
     out[:, 0] = z0
     rows = out.T  # time-major: row m is z_m
-    carry, pos = z0, 0
+    carry, pos, chunk_blocks = z0, 0, _chunk_blocks(q)
     while pos < n:
         width = min(SCAN_BLOCK, n - pos)
-        blocks = max(1, min(SCAN_CHUNK_BLOCKS, (n - pos) // SCAN_BLOCK))
+        blocks = max(1, min(chunk_blocks, (n - pos) // SCAN_BLOCK))
         span = blocks * width
         carry = _scan_chunk(
             shocks[pos:pos + span].reshape(blocks, width * q),
@@ -316,30 +330,92 @@ def ar1_recursion(step, noise_map, z0, shocks, out=None):
     return out
 
 
-def _draw_path(step, noise_map, z0, n_steps, rng):
-    """(d, n_steps+1) path of the recursion from z0, with standard normal
-    shocks drawn from rng one scan chunk at a time.
+def _path_chunks(step, noise_map, n_steps, rng, rows):
+    """Walk the recursion's path from the state rows[0], one scan chunk
+    at a time, with standard normal shocks drawn from rng; yields (grid
+    index of the chunk's first new state, the chunk's new states).
 
-    The path is one C-ordered (n_steps+1, d) buffer, returned as its
-    (d, n_steps+1) transpose, into which the scan writes every state. The
-    chunks are the scan's own (SCAN_CHUNK_BLOCKS blocks of SCAN_BLOCK
-    steps) and the draws come in the stream's order, so the path is the
-    one that drawing every shock first would give, bit for bit, while
-    only one chunk's shocks are held at a time: each chunk is drawn into
-    the one buffer. Raises ValueError if n_steps is negative.
+    rows is time-major: the whole (n_steps+1, d) path, each chunk's
+    states written after the last, or, when it is shorter, one
+    (chunk+1, d) buffer that every chunk reuses, whose first row holds
+    the state entering the chunk. A yielded chunk is a view of rows. The
+    chunks are the scan's own (_chunk_blocks(q) blocks of SCAN_BLOCK
+    steps), each chunk's shocks are drawn into one buffer just before
+    it, in the stream's order, and both layouts make the same
+    ar1_recursion calls from the same carries. So the states are those
+    that drawing every shock first and one ar1_recursion would give,
+    bit for bit, while only one chunk's shocks are held at a time.
     """
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    rows = np.empty((n_steps + 1, step.shape[0]))
-    rows[0] = z0
-    chunk = SCAN_BLOCK * SCAN_CHUNK_BLOCKS
-    shocks = np.empty((min(chunk, n_steps), noise_map.shape[1]))
+    q = noise_map.shape[1]
+    chunk = SCAN_BLOCK * _chunk_blocks(q)
+    reuse = len(rows) < n_steps + 1
+    shocks = np.empty((min(chunk, n_steps), q))
     for pos in range(0, n_steps, chunk):
         span = min(chunk, n_steps - pos)
+        at = 0 if reuse else pos
+        if reuse and pos:
+            rows[0] = rows[chunk]
         rng.standard_normal(out=shocks[:span])
-        ar1_recursion(step, noise_map, rows[pos], shocks[:span],
-                      out=rows[pos:pos + span + 1].T)
+        ar1_recursion(step, noise_map, rows[at], shocks[:span],
+                      out=rows[at:at + span + 1].T)
+        yield pos + 1, rows[at + 1:at + span + 1]
+
+
+def _check_steps(n_steps):
+    """ValueError naming a negative step count."""
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+
+
+def _draw_path(step, noise_map, z0, n_steps, rng):
+    """(d, n_steps+1) path of the recursion from z0, with standard normal
+    shocks drawn from rng one scan chunk at a time (_path_chunks).
+
+    The path is one C-ordered (n_steps+1, d) buffer, returned as its
+    (d, n_steps+1) transpose, into which the scan writes every state, so
+    no state is copied. Raises ValueError if n_steps is negative.
+    """
+    _check_steps(n_steps)
+    rows = np.empty((n_steps + 1, step.shape[0]))
+    rows[0] = z0
+    for _ in _path_chunks(step, noise_map, n_steps, rng, rows):
+        pass
     return rows.T
+
+
+def _recursion_start(system, law, method, dt, seed, stream):
+    """(step, noise_map, rng, z0) of the exact or Euler sampler at dt:
+    the operands (_recursion), the generator of the (seed, method,
+    stream) substream and the stationary initial state z0, which that
+    stream draws first. Raises ValueError if dt is not positive and
+    finite, before any work."""
+    if not (0 < dt < math.inf):
+        raise ValueError("dt must be positive and finite")
+    step, noise_map, factor = _recursion(system, law, method, dt)
+    rng = _generator(seed, method, stream)
+    return step, noise_map, rng, factor @ rng.standard_normal(step.shape[0])
+
+
+def _stream_path(system, law, method, dt, n_steps, seed):
+    """The path that sample_exact (method "exact") or sample_euler
+    ("euler") draws with these arguments on stream 0, as an iterator of
+    (grid index, time-major states) pairs: the initial state, then one
+    scan chunk at a time (_path_chunks).
+
+    The chunks are views of one (chunk+1, d) buffer, each valid until
+    the next is drawn, so however long the path, the iterator holds one
+    chunk of states and one of shocks. The operands are built and
+    checked here, and the same errors as the samplers' raise before the
+    first chunk.
+    """
+    step, noise_map, rng, z0 = _recursion_start(system, law, method, dt,
+                                                 seed, 0)
+    _check_steps(n_steps)
+    chunk = SCAN_BLOCK * _chunk_blocks(noise_map.shape[1])
+    rows = np.empty((min(chunk, n_steps) + 1, z0.size))
+    rows[0] = z0
+    return itertools.chain([(0, rows[:1])],
+                           _path_chunks(step, noise_map, n_steps, rng, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +624,8 @@ def sample_exact(
     SamplePath
         Stationary path: every column is marginally N(0, Sigma).
     """
-    phi, innovation, factor = _recursion(system, law, "exact", dt)
-    rng = _generator(seed, "exact", stream)
-    z0 = factor @ rng.standard_normal(phi.shape[0])
+    phi, innovation, rng, z0 = _recursion_start(system, law, "exact", dt,
+                                                seed, stream)
     values = _draw_path(phi, innovation, z0, n_steps, rng)
     return SamplePath(dt=float(dt), values=values, seed=int(seed), method="exact")
 
@@ -589,11 +664,8 @@ def sample_euler(
     ValueError
         If dt is not positive and finite.
     """
-    if not (0 < dt < math.inf):
-        raise ValueError("dt must be positive and finite")
-    step, noise_map, factor = _recursion(system, law, "euler", dt)
-    rng = _generator(seed, "euler", stream)
-    z0 = factor @ rng.standard_normal(step.shape[0])
+    step, noise_map, rng, z0 = _recursion_start(system, law, "euler", dt,
+                                                seed, stream)
     values = _draw_path(step, noise_map, z0, n_steps, rng)
     return SamplePath(dt=float(dt), values=values, seed=int(seed), method="euler")
 
@@ -880,27 +952,47 @@ def write_csv(sample: SamplePath, path) -> None:
 
     Every value is written as %.17g, which reads back to the same
     float64, and the bytes are those of np.savetxt with that format and
-    a "," delimiter. The rows are formatted CSV_BLOCK at a time, each
-    block by one % over its values, so no (n+1, k+2) table is formed.
+    a "," delimiter. The rows are formatted CSV_BLOCK at a time
+    (_write_csv_chunks), so no (n+1, k+2) table is formed.
     """
-    n, cols = sample.n_points, sample.k + 2
-    row_fmt = ",".join(["%.17g"] * cols) + "\n"
-    block = np.empty((min(CSV_BLOCK, n), cols))
+    _write_csv_chunks([(0, sample.values.T)], sample.dt, path)
+
+
+def _write_csv_chunks(chunks, dt, path) -> None:
+    """Write (grid index, time-major states) chunks, in order and from
+    grid index 0, as the CSV of write_csv, at grid spacing dt.
+
+    Each chunk's rows are formatted CSV_BLOCK at a time, each block by
+    one % over its values, so the writer holds one block besides the
+    chunk; fed _stream_path's chunks, it writes the bytes that write_csv
+    writes for the sampled path, holding one scan chunk of it.
+    """
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("t," + ",".join(f"y{j}" for j in range(sample.k + 1)) + "\n")
-        for lo in range(0, n, CSV_BLOCK):
-            rows = block[:min(CSV_BLOCK, n - lo)]
-            rows[:, 0] = sample.dt * np.arange(lo, lo + len(rows))
-            rows[:, 1:] = sample.values[:, lo:lo + len(rows)].T
-            fh.write((row_fmt * len(rows)) % tuple(rows.ravel().tolist()))
+        for start, states in chunks:
+            n, d = states.shape
+            if start == 0:
+                fh.write("t," + ",".join(f"y{j}" for j in range(d)) + "\n")
+            row_fmt = ",".join(["%.17g"] * (d + 1)) + "\n"
+            block = np.empty((min(CSV_BLOCK, n), d + 1))
+            for lo in range(0, n, CSV_BLOCK):
+                rows = block[:min(CSV_BLOCK, n - lo)]
+                rows[:, 0] = dt * np.arange(start + lo, start + lo + len(rows))
+                rows[:, 1:] = states[lo:lo + len(rows)]
+                fh.write((row_fmt * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def write_metadata(sample: SamplePath, model_config: dict, path) -> None:
     """Write the JSON sidecar recording how the path was produced."""
+    _write_meta(sample.method, sample.dt, sample.seed, model_config, path)
+
+
+def _write_meta(method: str, dt: float, seed: int, model_config: dict,
+                path) -> None:
+    """write_metadata's sidecar from the method, dt and seed alone."""
     meta = {
-        "method": sample.method,
-        "dt": sample.dt,
-        "seed": sample.seed,
+        "method": method,
+        "dt": dt,
+        "seed": seed,
         "model": model_config,
     }
     with open(path, "w", encoding="utf-8") as fh:

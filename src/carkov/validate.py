@@ -58,6 +58,11 @@ ANNIHILATION_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
 #: temporaries stay at one slice whatever the path length
 SUM_SLICE = 1 << 14
 
+#: lags per slice at which product_mean_laws evaluates r: eval_r forms
+#: about five complex temporaries per lag, about 160 KB a slice, and it
+#: works lag by lag, so the slice size does not change r's bits
+R_SLICE = 1 << 11
+
 #: check_innovations' gaps in correlation times; Durbin-Levinson's order
 #: cap, settling tolerance and least error variance over r(0), below which
 #: its rounding inflates the whitened variance; Ljung-Box lags; fewest z
@@ -376,19 +381,20 @@ def product_mean_laws(cov: CovarianceModel, dt: float, idxs,
     FFT autoconvolution, from which F comes at every lag; the sums of F
     run over |u|, |v| <= R. F(d) reads the autoconvolution at lags up to
     R + d, which a circular transform of length N > 3 R + 3 max(idxs)
-    gives without wrapping, for 2 R + 1 samples of r. r and the variance
-    terms are formed SUM_SLICE lags at a time, the spectrum is squared
-    in place and every sum is added in a fixed order (_sliced_dot), so
-    the temporaries besides r and the FFT stay at one slice and the
-    results do not depend on the BLAS thread count.
+    gives without wrapping, for 2 R + 1 samples of r. r is evaluated
+    R_SLICE lags at a time and the variance terms are formed SUM_SLICE
+    lags at a time, the spectrum is squared in place and every sum is
+    added in a fixed order (_sliced_dot), so the temporaries besides r
+    and the FFT stay at one slice and the results do not depend on the
+    BLAS thread count.
     """
     tau = _correlation_time(cov)
     tail = math.ceil(ISSERLIS_CORR_TIMES * tau / dt)
     s_maxes = [min(m - 1, idx + tail) for idx, m in zip(idxs, ms)]
     reach = max(s_max + idx for s_max, idx in zip(s_maxes, idxs))
     r = np.empty(reach + 1)
-    for lo in range(0, reach + 1, SUM_SLICE):
-        hi = min(lo + SUM_SLICE, reach + 1)
+    for lo in range(0, reach + 1, R_SLICE):
+        hi = min(lo + R_SLICE, reach + 1)
         r[lo:hi] = eval_r(cov, 0, dt * np.arange(lo, hi))
     ses = []
     for idx, m, s_max in zip(idxs, ms, s_maxes):
@@ -447,11 +453,11 @@ def check_empirical_covariance(
 ) -> CheckReport:
     """Empirical autocovariance of Y against the closed form.
 
-    lags are in time units, finite and >= 0, and must sit on the path
-    grid. Each lagged product mean is standardised by the model's exact
-    standard error and mapped to a normal score through its exact
-    skewness (product_mean_laws, normal_score); both are reported in the
-    detail.
+    lags are a non-empty 1-d array in time units, finite and >= 0, and
+    must sit on the path grid. Each lagged product mean is standardised
+    by the model's exact standard error and mapped to a normal score
+    through its exact skewness (product_mean_laws, normal_score); both
+    are reported in the detail.
     The laws of every lag come from one r and one autoconvolution, at the
     largest lag's reach. The path must still fill 100 blocks of ten
     correlation times at every lag, so the mean is close to its normal
@@ -464,8 +470,10 @@ def check_empirical_covariance(
     if lags is None:
         lags = tau * np.array([0.0, 0.5, 1.0, 2.0])
     lags = np.asarray(lags, dtype=float)
-    if not (np.isfinite(lags) & (lags >= 0)).all():
-        raise ValueError(f"lags must be finite and >= 0, got {lags}")
+    if lags.ndim != 1 or lags.size == 0 \
+            or not (np.isfinite(lags) & (lags >= 0)).all():
+        raise ValueError("lags must be a non-empty 1-d array of finite "
+                         f"values >= 0, got {lags}")
     y = path.values[0]
     n = y.size
     dt = path.dt

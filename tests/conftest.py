@@ -66,3 +66,9 @@ def spec_k1_pair():
 @pytest.fixture
 def spec_k2():
     return model.validate([1 + 1j, -1 + 1j, 2j], 1.0)
+
+
+@pytest.fixture
+def spec_k8():
+    """A regular k = 8 model (d = 9), make_random_spec(default_rng(10), 8)."""
+    return make_random_spec(np.random.default_rng(10), k=8)

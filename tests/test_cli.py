@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,15 @@ from carkov import assemble, covariance, markov, model
 from carkov.cli import main
 from carkov.covariance import cov_to_config, moments, residue_expansion
 from carkov.errors import StepTooSmall
-from carkov.simulate import exact_step_operator
+from carkov.simulate import (
+    SCAN_BLOCK,
+    _chunk_blocks,
+    exact_step_operator,
+    sample_euler,
+    sample_exact,
+    write_csv,
+    write_metadata,
+)
 from conftest import make_random_spec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -145,6 +154,51 @@ class TestSimulate:
         main(["simulate", "--model", K0, "--method", "euler", "--dt", "0.1",
               "--steps", "50", "--seed", "3", "--out", str(b)])
         assert (a / "path.csv").read_bytes() != (b / "path.csv").read_bytes()
+
+    @pytest.mark.parametrize("spec_name", ["spec_k2", "spec_k8"])
+    @pytest.mark.parametrize("method", ["exact", "euler"])
+    def test_streamed_path_is_the_sampled_path(self, tmp_path, request,
+                                                spec_name, method):
+        # the command writes the path a scan chunk at a time: the bytes
+        # of write_csv and write_metadata of the sampler's whole path,
+        # over two chunks of 32,768 steps (six of 10,912 for an exact
+        # d = 9 path) and a partial block of 7
+        spec = request.getfixturevalue(spec_name)
+        config = tmp_path / "model.json"
+        config.write_text(json.dumps(model.to_config(spec)))
+        steps = 2 * SCAN_BLOCK * _chunk_blocks(1) + 7
+        assert main(["simulate", "--model", str(config), "--method", method,
+                     "--dt", "0.01", "--steps", str(steps), "--seed", "5",
+                     "--out", str(tmp_path / "cli")]) == 0
+        system, law = assemble(spec)
+        sampler = sample_exact if method == "exact" else sample_euler
+        path = sampler(system, law, 0.01, steps, seed=5)
+        write_csv(path, tmp_path / "path.csv")
+        write_metadata(path, model.to_config(spec), tmp_path / "path_meta.json")
+        for name in ("path.csv", "path_meta.json"):
+            assert (tmp_path / "cli" / name).read_bytes() == \
+                (tmp_path / name).read_bytes(), name
+
+    def test_memory_does_not_grow_with_the_steps(self, tmp_path):
+        # the exact path goes to path.csv one scan chunk at a time: the
+        # peak at 2e5 steps is within one chunk's bytes of that at 2e4
+        # steps, where the whole path is 4.8 MB against 0.48 MB
+        def peak(steps):
+            argv = ["simulate", "--model", K2, "--method", "exact",
+                    "--steps", str(steps), "--out", str(tmp_path / str(steps))]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        main(["simulate", "--model", K2, "--method", "exact", "--steps", "10",
+              "--out", str(tmp_path / "warm")])  # operands built untraced
+        chunk = 8 * 3 * SCAN_BLOCK * _chunk_blocks(3)
+        small, large = peak(20_000), peak(200_000)
+        assert large - small <= chunk, (
+            f"{(large - small) / chunk:.2f} chunks above the 2e4-step peak")
 
     def test_spectral_writes_all_rows(self, tmp_path):
         rc = main(["simulate", "--model", K1, "--method", "spectral",

@@ -1,7 +1,7 @@
 """The state recursion: the blocked two-level scan against a sequential loop.
 
 Path lengths straddle the block size SCAN_BLOCK, the row slice of
-SCAN_SLICE_BLOCKS blocks and the chunk of SCAN_CHUNK_BLOCKS blocks, where
+SCAN_SLICE_BLOCKS blocks and the chunk of _chunk_blocks(q) blocks, where
 the scan switches between its table product, its carry pass, its slices
 and the chunk-to-chunk carry.
 """
@@ -14,8 +14,9 @@ import pytest
 from carkov import assemble
 from carkov.simulate import (
     SCAN_BLOCK,
-    SCAN_CHUNK_BLOCKS,
+    SCAN_CHUNK_BYTES,
     SCAN_SLICE_BLOCKS,
+    _chunk_blocks,
     _scan_tables,
     ar1_recursion,
     exact_step_operator,
@@ -88,7 +89,7 @@ def test_matches_loop_oracle(k, kind, steps_per_tau):
 def test_matches_loop_oracle_across_chunks():
     """Two full chunks and a partial block, at a radius of 0.9999."""
     step, noise_map, z0 = _model_step(8, "euler", 1e4)
-    n = 2 * SCAN_BLOCK * SCAN_CHUNK_BLOCKS + 5
+    n = 2 * SCAN_BLOCK * _chunk_blocks(1) + 5
     shocks = np.random.default_rng(8).standard_normal((n, 1))
     _assert_matches_loop(step, noise_map, z0, shocks)
 
@@ -142,12 +143,24 @@ def test_tables_follow_the_operands():
     _assert_matches_loop(step, noise_map, z0, shocks)
 
 
+def test_chunks_hold_a_fixed_budget_of_shocks():
+    """A chunk is as many blocks as hold SCAN_CHUNK_BYTES of shocks, at
+    most 2048: 2048 blocks up to q = 3, which every Euler path and the
+    exact paths of d <= 3 keep, and 682 blocks at q = d = 9."""
+    for q in range(1, 30):
+        blocks = _chunk_blocks(q)
+        assert blocks == min(2048, SCAN_CHUNK_BYTES // (8 * SCAN_BLOCK * q))
+        assert 8 * SCAN_BLOCK * q * blocks <= SCAN_CHUNK_BYTES
+    assert [_chunk_blocks(q) for q in (1, 2, 3, 4, 9)] == [2048] * 3 + [1536, 682]
+
+
 def test_memory_stays_near_the_output():
     """The temporaries of a long path are the blocks' starts, one state
     per block of a chunk, and one slice's buffer of [start | shocks]
     rows, SCAN_SLICE_BLOCKS rows of d + SCAN_BLOCK q; the table products
-    go straight into the path. At d = q = 9 that is 21/64 of a chunk of
-    states, and 8 KiB is left for the rest."""
+    go straight into the path. At d = q = 9 a chunk is 682 blocks, so
+    that is 49 KB of starts and 627 KB of slice buffer, and 8 KiB is
+    left for the rest."""
     step, noise_map, z0 = _model_step(8, "exact", 50)
     d = q = 9
     shocks = np.random.default_rng(10).standard_normal((200_000, q))
@@ -158,7 +171,7 @@ def test_memory_stays_near_the_output():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    temps = 8 * (SCAN_CHUNK_BLOCKS * d + SCAN_SLICE_BLOCKS * (d + SCAN_BLOCK * q))
+    temps = 8 * (_chunk_blocks(q) * d + SCAN_SLICE_BLOCKS * (d + SCAN_BLOCK * q))
     assert peak <= out.nbytes + temps + 8192, (
         f"peak {peak - out.nbytes} B above the output, against {temps} B "
         "of starts and slice buffer")
@@ -232,12 +245,12 @@ def test_out_writes_into_a_longer_path():
     """Two calls into views of one array give the one-call path bytes,
     when the split follows the scan's chunks."""
     step, noise_map, z0 = _model_step(2, "exact", 50)
-    n = SCAN_BLOCK * SCAN_CHUNK_BLOCKS + 37
+    n = SCAN_BLOCK * _chunk_blocks(3) + 37
     shocks = np.random.default_rng(11).standard_normal((n, 3))
     whole = ar1_recursion(step, noise_map, z0, shocks)
     path = np.empty_like(whole)
     path[:, 0] = z0
-    cut = SCAN_BLOCK * SCAN_CHUNK_BLOCKS
+    cut = SCAN_BLOCK * _chunk_blocks(3)
     for lo, hi in ((0, cut), (cut, n)):
         view = path[:, lo:hi + 1]
         assert ar1_recursion(step, noise_map, path[:, lo], shocks[lo:hi],

@@ -31,13 +31,13 @@ from carkov.model import abs_p_squared
 from carkov.simulate import (
     CSV_BLOCK,
     SCAN_BLOCK,
-    SCAN_CHUNK_BLOCKS,
     SPECTRAL_BLOCK,
     SPECTRAL_DRAW_BLOCK,
     SPECTRAL_MAP_SCALE,
     SPECTRAL_MAX_PANELS,
     SPECTRAL_PANELS,
     SPECTRAL_RESOLUTION_TOL,
+    _chunk_blocks,
     _generator,
     _psd_sqrt,
     _recursion,
@@ -273,7 +273,7 @@ def test_paths_are_time_major(spec_k2):
     # every sampler holds its path as one C-ordered (n+1, k+1) buffer and
     # values is its (k+1, n+1) transpose view
     system, law = assemble(spec_k2)
-    n = SCAN_BLOCK * SCAN_CHUNK_BLOCKS + 9
+    n = SCAN_BLOCK * _chunk_blocks(1) + 9
     for path in (sample_exact(system, law, 0.01, n, seed=0),
                  sample_euler(system, law, 0.001, n, seed=0),
                  sample_spectral(spec_k2, 0.01 * np.arange(50), seed=0)):
@@ -304,9 +304,10 @@ class TestSampleExact:
 
     def test_long_path_holds_one_chunk_of_shocks(self, spec_k2):
         # a 1e6-step path draws its shocks a scan chunk at a time: the
-        # peak is the output plus one chunk of shocks and the scan's
-        # temporaries, which stay below a third of a chunk of states (d
-        # doubles per step each), not the output plus every shock
+        # peak is the output plus one chunk of shocks, _chunk_blocks(q)
+        # blocks of q doubles per step, and the scan's temporaries, which
+        # stay below a third of that at q = d = 3, not the output plus
+        # every shock
         system, law = assemble(spec_k2)
         sample_exact(system, law, 0.01, 10, seed=0)  # tables built untraced
         tracemalloc.start()
@@ -315,25 +316,30 @@ class TestSampleExact:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        chunk = SCAN_BLOCK * SCAN_CHUNK_BLOCKS * path.values.shape[0] * 8
+        q = path.values.shape[0]
+        chunk = 8 * q * SCAN_BLOCK * _chunk_blocks(q)
         assert peak <= path.values.nbytes + 4 * chunk / 3, (
             f"peak {(peak - path.values.nbytes) / chunk:.2f} chunks above the output")
 
-    def test_matches_drawing_every_shock_first(self, spec_k2):
+    def test_matches_drawing_every_shock_first(self, spec_k2, spec_k8):
         # the chunked draws are the stream's order: the path is the one
         # that one (n, d) draw and one recursion give, bit for bit, from
-        # a cold and from a filled operand memo
-        system, law = assemble(spec_k2)
-        n = 2 * SCAN_BLOCK * SCAN_CHUNK_BLOCKS + 21
-        _recursion_operands.cache_clear()
-        path = sample_exact(system, law, 0.05, n, seed=8, stream=2)
-        again = sample_exact(system, law, 0.05, n, seed=8, stream=2)
-        phi, innovation = exact_step_operator(system, law, 0.05)
-        rng = _generator(8, "exact", 2)
-        z0 = _stationary_factor(law.covariance) @ rng.standard_normal(3)
-        whole = ar1_recursion(phi, innovation, z0, rng.standard_normal((n, 3)))
-        assert path.values.tobytes() == whole.tobytes()
-        assert again.values.tobytes() == whole.tobytes()
+        # a cold and from a filled operand memo, over three chunks and a
+        # partial block (2048 blocks at d = 3, 682 at d = 9)
+        for spec in (spec_k2, spec_k8):
+            system, law = assemble(spec)
+            d = spec.k + 1
+            n = 3 * SCAN_BLOCK * _chunk_blocks(d) + 21
+            _recursion_operands.cache_clear()
+            path = sample_exact(system, law, 0.05, n, seed=8, stream=2)
+            again = sample_exact(system, law, 0.05, n, seed=8, stream=2)
+            phi, innovation = exact_step_operator(system, law, 0.05)
+            rng = _generator(8, "exact", 2)
+            z0 = _stationary_factor(law.covariance) @ rng.standard_normal(d)
+            whole = ar1_recursion(phi, innovation, z0,
+                                  rng.standard_normal((n, d)))
+            assert path.values.tobytes() == whole.tobytes(), d
+            assert again.values.tobytes() == whole.tobytes(), d
 
     def test_negative_step_count_is_refused(self, spec_k2):
         system, law = assemble(spec_k2)
@@ -387,22 +393,25 @@ class TestSampleEuler:
             sample_euler(system, law, 0.05, -1, seed=1)
         assert sample_euler(system, law, 0.05, 0, seed=1).n_points == 1
 
-    def test_matches_drawing_every_shock_first(self, spec_k2):
-        # from a cold and from a filled operand memo
-        system, law = assemble(spec_k2)
-        dt, n = 0.001, SCAN_BLOCK * SCAN_CHUNK_BLOCKS + 9
-        _recursion_operands.cache_clear()
-        path = sample_euler(system, law, dt, n, seed=8)
-        again = sample_euler(system, law, dt, n, seed=8)
-        rng = _generator(8, "euler")
-        z0 = _stationary_factor(law.covariance) @ rng.standard_normal(3)
-        whole = ar1_recursion(
-            np.eye(3) + system.companion * dt,
-            (system.noise_vector * math.sqrt(dt)).reshape(3, 1),
-            z0, rng.standard_normal((n, 1)),
-        )
-        assert path.values.tobytes() == whole.tobytes()
-        assert again.values.tobytes() == whole.tobytes()
+    def test_matches_drawing_every_shock_first(self, spec_k2, spec_k8):
+        # from a cold and from a filled operand memo, over three chunks
+        # and a partial block, at d = 3 and d = 9
+        dt, n = 0.001, 3 * SCAN_BLOCK * _chunk_blocks(1) + 9
+        for spec in (spec_k2, spec_k8):
+            system, law = assemble(spec)
+            d = spec.k + 1
+            _recursion_operands.cache_clear()
+            path = sample_euler(system, law, dt, n, seed=8)
+            again = sample_euler(system, law, dt, n, seed=8)
+            rng = _generator(8, "euler")
+            z0 = _stationary_factor(law.covariance) @ rng.standard_normal(d)
+            whole = ar1_recursion(
+                np.eye(d) + system.companion * dt,
+                (system.noise_vector * math.sqrt(dt)).reshape(d, 1),
+                z0, rng.standard_normal((n, 1)),
+            )
+            assert path.values.tobytes() == whole.tobytes(), d
+            assert again.values.tobytes() == whole.tobytes(), d
 
     def test_recursion_reproduced_by_hand(self, spec_k1_repeated):
         # from the path's own stationary start: the stream's first two

@@ -436,9 +436,10 @@ class TestEmpiricalCovariance:
         system, law = assemble(spec_k0)
         path = sample_exact(system, law, 0.5, 60_000, seed=3)
         cov = residue_expansion(spec_k0)
-        for lag in (-0.5, math.inf, math.nan):
-            with pytest.raises(ValueError, match="lags must be finite and >= 0"):
-                check_empirical_covariance(path, cov, lags=[lag])
+        for lags in ([-0.5], [math.inf], [math.nan], [], 0.5, [[0, 0.5]]):
+            with pytest.raises(ValueError, match="lags must be a non-empty "
+                               "1-d array of finite values >= 0"):
+                check_empirical_covariance(path, cov, lags=lags)
 
 
 #: a regular k = 8 model, make_random_spec(np.random.default_rng(10), 8)
