@@ -127,23 +127,19 @@ def cmd_simulate(args) -> int:
         raise CarkovError(f"--steps must be positive, got {args.steps}")
 
     # the exact and Euler paths go to path.csv one scan chunk at a time,
-    # in the bytes that write_csv writes for sample_exact or sample_euler
-    out_dir = Path(args.out)
-    config = model.to_config(spec)
-    if args.method in ("exact", "euler"):
-        system, law = markov.assemble(spec)
-        chunks = simulate._stream_path(system, law, args.method, args.dt,
-                                       args.steps, seed)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        simulate._write_csv_chunks(chunks, args.dt, out_dir / "path.csv")
-        simulate._write_meta(args.method, args.dt, seed, config,
-                             out_dir / "path_meta.json")
-    else:
+    # the spectral path as one chunk
+    if args.method == "spectral":
         times = args.dt * np.arange(args.steps + 1)
-        path = simulate.sample_spectral(spec, times, seed)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        simulate.write_csv(path, out_dir / "path.csv")
-        simulate.write_metadata(path, config, out_dir / "path_meta.json")
+        chunks = [simulate.sample_spectral(spec, times, seed).values.T]
+    else:
+        chunks = simulate._stream_path(*markov.assemble(spec), args.method,
+                                       args.dt, args.steps, seed)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    simulate.write_csv(chunks, out_dir / "path.csv", args.dt)
+    meta = {"method": args.method, "dt": args.dt, "seed": seed,
+            "model": model.to_config(spec)}
+    _dump_json(meta, out_dir / "path_meta.json")
     print(
         f"{args.method}: {args.steps + 1} points x {spec.k + 1} rows at "
         f"dt = {args.dt}, seed = {seed}, wrote {out_dir / 'path.csv'}"

@@ -70,14 +70,18 @@ class FactorizationFailure(CarkovError):
 
 
 class UnstableStep(CarkovError):
-    """The Euler update matrix has spectral radius >= 1 at the requested dt."""
+    """The Euler update matrix has spectral radius >= 1 at the requested dt,
+    and no larger dt below the stability bound makes it a contraction."""
 
 
 class StepTooSmall(CarkovError):
-    """The exact step e^{A dt} is so close to the identity that its computed
-    spectral radius rounds to 1 or above: dt is below what double precision
-    resolves for the model (about 1e-15 tau for k >= 8). The message names
-    a larger dt that it does resolve."""
+    """dt is below what double precision resolves for the model. The exact
+    step e^{A dt} has a computed spectral radius of 1 or above, or a
+    computed contraction 1 - radius more than a factor of 2 from the true
+    1 - e^{-alpha dt}; every dt >= 1e-11 tau passed on the shipped configs
+    and 2,200 of the tests' regular models up to k = 10. Or the Euler step
+    I + A dt rounds to radius 1 or above far below its stability bound.
+    The message names a larger dt that it does resolve."""
 
 
 # ---------------------------------------------------------------------------

@@ -83,10 +83,10 @@ def validate(roots, scale: float) -> RootSpec:
     roots = [complex(z) for z in roots]
     if not roots:
         raise UnpairedRoot("at least one root is required")
-    if not (scale > 0):
-        raise NonPositiveScale(f"scale must be > 0, got {scale}")
     if not all(map(cmath.isfinite, [scale, *roots])):
         raise CarkovError(f"roots {roots} and scale {scale} must be finite")
+    if not (scale > 0):
+        raise NonPositiveScale(f"scale must be > 0, got {scale}")
     for z in roots:
         if not (z.imag > 0):
             raise NonPositiveImaginaryPart(

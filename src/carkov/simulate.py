@@ -18,7 +18,6 @@ stream and any replicate can be regenerated in isolation.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -332,8 +331,8 @@ def ar1_recursion(step, noise_map, z0, shocks, out=None):
 
 def _path_chunks(step, noise_map, n_steps, rng, rows):
     """Walk the recursion's path from the state rows[0], one scan chunk
-    at a time, with standard normal shocks drawn from rng; yields (grid
-    index of the chunk's first new state, the chunk's new states).
+    at a time, with standard normal shocks drawn from rng; yields each
+    chunk's new time-major states.
 
     rows is time-major: the whole (n_steps+1, d) path, each chunk's
     states written after the last, or, when it is shorter, one
@@ -358,64 +357,48 @@ def _path_chunks(step, noise_map, n_steps, rng, rows):
         rng.standard_normal(out=shocks[:span])
         ar1_recursion(step, noise_map, rows[at], shocks[:span],
                       out=rows[at:at + span + 1].T)
-        yield pos + 1, rows[at + 1:at + span + 1]
+        yield rows[at + 1:at + span + 1]
 
 
-def _check_steps(n_steps):
-    """ValueError naming a negative step count."""
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+def _path_start(system, law, method, dt, n_steps, seed, stream, whole):
+    """(rows, chunks) of the exact ("exact") or Euler ("euler") path.
 
-
-def _draw_path(step, noise_map, z0, n_steps, rng):
-    """(d, n_steps+1) path of the recursion from z0, with standard normal
-    shocks drawn from rng one scan chunk at a time (_path_chunks).
-
-    The path is one C-ordered (n_steps+1, d) buffer, returned as its
-    (d, n_steps+1) transpose, into which the scan writes every state, so
-    no state is copied. Raises ValueError if n_steps is negative.
+    Checks dt and n_steps before any work, takes the operands
+    (_recursion), and draws the stationary initial state first on the
+    (seed, method, stream) substream into rows[0]. rows is the whole
+    time-major (n_steps+1, d) path if whole, else one (chunk+1, d)
+    buffer that every scan chunk reuses; chunks is _path_chunks'
+    iterator over it, which writes the states as it is walked. Raises
+    ValueError if dt is not positive and finite or n_steps is negative,
+    and the operands' errors, all before the first chunk.
     """
-    _check_steps(n_steps)
-    rows = np.empty((n_steps + 1, step.shape[0]))
-    rows[0] = z0
-    for _ in _path_chunks(step, noise_map, n_steps, rng, rows):
-        pass
-    return rows.T
-
-
-def _recursion_start(system, law, method, dt, seed, stream):
-    """(step, noise_map, rng, z0) of the exact or Euler sampler at dt:
-    the operands (_recursion), the generator of the (seed, method,
-    stream) substream and the stationary initial state z0, which that
-    stream draws first. Raises ValueError if dt is not positive and
-    finite, before any work."""
     if not (0 < dt < math.inf):
         raise ValueError("dt must be positive and finite")
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     step, noise_map, factor = _recursion(system, law, method, dt)
     rng = _generator(seed, method, stream)
-    return step, noise_map, rng, factor @ rng.standard_normal(step.shape[0])
+    chunk = SCAN_BLOCK * _chunk_blocks(noise_map.shape[1])
+    rows = np.empty((1 + (n_steps if whole else min(chunk, n_steps)),
+                     step.shape[0]))
+    rows[0] = factor @ rng.standard_normal(step.shape[0])
+    return rows, _path_chunks(step, noise_map, n_steps, rng, rows)
 
 
 def _stream_path(system, law, method, dt, n_steps, seed):
     """The path that sample_exact (method "exact") or sample_euler
     ("euler") draws with these arguments on stream 0, as an iterator of
-    (grid index, time-major states) pairs: the initial state, then one
-    scan chunk at a time (_path_chunks).
+    time-major chunks for write_csv: the initial state, then one scan
+    chunk at a time (_path_chunks).
 
     The chunks are views of one (chunk+1, d) buffer, each valid until
     the next is drawn, so however long the path, the iterator holds one
-    chunk of states and one of shocks. The operands are built and
-    checked here, and the same errors as the samplers' raise before the
-    first chunk.
+    chunk of states and one of shocks. The same errors as the samplers'
+    raise here, before the first chunk.
     """
-    step, noise_map, rng, z0 = _recursion_start(system, law, method, dt,
-                                                 seed, 0)
-    _check_steps(n_steps)
-    chunk = SCAN_BLOCK * _chunk_blocks(noise_map.shape[1])
-    rows = np.empty((min(chunk, n_steps) + 1, z0.size))
-    rows[0] = z0
-    return itertools.chain([(0, rows[:1])],
-                           _path_chunks(step, noise_map, n_steps, rng, rows))
+    rows, chunks = _path_start(system, law, method, dt, n_steps, seed, 0,
+                               whole=False)
+    return itertools.chain([rows[:1]], chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +436,14 @@ def _pade13(a: np.ndarray) -> np.ndarray:
 
 
 def _van_loan(system: ItoSystem, scale: np.ndarray, dt: float):
-    """(phi, Q_scaled, computed spectral radius of phi) at dt, from the
-    Van Loan block exponential in the state scaled by scale (see
+    """(phi, Q_scaled, radius, contraction) at dt, from the Van Loan
+    block exponential in the state scaled by scale (see
     exact_step_operator): phi is unscaled, and Q_scaled is Q in the
-    scaled state, D^-1 Q D^-1 with D = diag(scale)."""
+    scaled state, D^-1 Q D^-1 with D = diag(scale). radius is the
+    computed spectral radius of phi, which the state recursion needs
+    below 1, and contraction is the least 1 - |mu| over the eigenvalues
+    mu of D^-1 phi D, computed as 1 - |1 + nu| from those of
+    D^-1 phi D - I (_resolved)."""
     d = scale.size
     drift = system.companion * scale / scale[:, None]
     noise = system.noise_vector / scale
@@ -473,13 +460,38 @@ def _van_loan(system: ItoSystem, scale: np.ndarray, dt: float):
     for _ in range(halvings):
         q = q + phi @ q @ phi.T
         phi = phi @ phi
+    nu = np.linalg.eigvals(phi - np.eye(d))
+    contraction = (-(2.0 * nu.real + abs(nu)**2) / (1.0 + abs(1.0 + nu))).min()
     phi = phi * scale[:, None] / scale
-    return phi, q, np.abs(np.linalg.eigvals(phi)).max()
+    return phi, q, _spectral_radius(phi), contraction
 
 
-#: doublings of a too small dt tried in search of one that double
-#: precision resolves
-_MAX_DOUBLINGS = 60
+def _spectral_radius(m):
+    return np.abs(np.linalg.eigvals(m)).max()
+
+
+def _resolved(radius, contraction, alpha, dt):
+    """Whether double precision resolves the step e^(A dt) whose computed
+    radius and contraction _van_loan gives, for the slowest decay rate
+    alpha = -max Re eig(A): the radius is below 1, and the contraction is
+    within a factor of 2 of the true 1 - e^(-alpha dt). The contraction
+    comes from the eigenvalues of phi - I, whose computed error scales
+    with ||A dt|| rather than with ||phi|| = 1: on a k = 10 model at
+    2e-12 tau, 1 - radius of phi itself came out at 0.09 of the truth."""
+    true = -math.expm1(-alpha * dt)
+    return radius < 1.0 and 0.5 * true <= contraction <= 2.0 * true
+
+
+def _first_resolved(dt, limit, resolves):
+    """The first of dt 2^j (j = 1, 2, ...), rounded to 3 significant
+    digits, that is below limit and passes resolves, or None."""
+    trial = 2.0 * dt
+    while trial < limit:
+        rounded = float(f"{trial:.3g}")
+        if rounded < limit and resolves(rounded):
+            return rounded
+        trial *= 2.0
+    return None
 
 
 def exact_step_operator(
@@ -505,11 +517,16 @@ def exact_step_operator(
     Raises
     ------
     StepTooSmall
-        If the computed eigenvalues of phi have modulus >= 1, which the
-        state recursion cannot advance; at dt of about 1e-15 tau and
-        below, rounding puts k >= 8 models there. The message names a
-        usable dt: the first of dt 2^j (j = 1 ... _MAX_DOUBLINGS),
-        rounded to 3 significant digits, at which the radius is below 1.
+        If double precision does not resolve phi (_resolved): its
+        computed eigenvalues reach modulus 1, which the state recursion
+        cannot advance, or its computed contraction 1 - radius is off by
+        more than a factor of 2 from the true 1 - e^(-alpha dt), alpha =
+        -max Re eig(A), so the path would decay at the wrong rate. Every
+        dt >= 1e-11 tau passed on the shipped configs and on 2,200 of the
+        tests' regular models up to k = 10; the floor rises from about
+        1e-16 tau at k <= 2 to 1e-12 tau for a few k = 10 models. The
+        message names a usable dt: the first of dt 2^j (j >= 1), rounded
+        to 3 significant digits, below 1 / alpha that passes.
     FactorizationFailure
         If Sigma has a diagonal entry that is not positive, so the
         state cannot be scaled by its standard deviations.
@@ -532,18 +549,18 @@ def exact_step_operator(
     if not (0 < dt < math.inf):
         raise ValueError("dt must be positive and finite")
     scale = _variance_scale(law.covariance)
-    phi, q, radius = _van_loan(system, scale, dt)
-    if not radius < 1.0:
-        usable = f"and no dt up to 2^{_MAX_DOUBLINGS} times larger does"
-        for j in range(1, _MAX_DOUBLINGS + 1):
-            trial = float(f"{dt * 2.0**j:.3g}")
-            if _van_loan(system, scale, trial)[2] < 1.0:
-                usable = f"use a larger one, such as dt = {trial:.3g}"
-                break
+    alpha = -np.linalg.eigvals(system.companion).real.max()
+    phi, q, radius, contraction = _van_loan(system, scale, dt)
+    if not _resolved(radius, contraction, alpha, dt):
+        usable = _first_resolved(dt, 1.0 / alpha, lambda t: _resolved(
+            *_van_loan(system, scale, t)[2:], alpha, t))
         raise StepTooSmall(
             f"e^(A dt) at dt = {dt:.6g} has computed spectral radius "
-            f"{radius:.17g} >= 1; this dt is below what double precision "
-            f"resolves for the model, {usable}"
+            f"{radius:.17g} and contraction {contraction:.3g} against the "
+            f"true 1 - e^(-alpha dt) = {-math.expm1(-alpha * dt):.3g}; this "
+            "dt is below what double precision resolves for the model, "
+            + (f"use a larger one, such as dt = {usable:.3g}" if usable
+               else f"and no larger dt below 1/alpha = {1 / alpha:.3g} does")
         )
     return phi, _psd_sqrt(q, scale)
 
@@ -574,11 +591,21 @@ def _recursion_operands(method, dt, drift_bytes, diffusion, cov_bytes):
         )
     else:
         step = np.eye(d) + system.companion * dt
-        radius = np.abs(np.linalg.eigvals(step)).max()
+        radius = _spectral_radius(step)
         if radius >= 1.0:
-            raise UnstableStep(
-                f"I + A dt has spectral radius {radius:.6g} >= 1 at dt = {dt}; "
-                f"stable below dt = {euler_step_bound(system):.6g}"
+            bound = euler_step_bound(system)
+            usable = _first_resolved(dt, bound, lambda t: _spectral_radius(
+                np.eye(d) + system.companion * t) < 1.0)
+            if usable is None:
+                raise UnstableStep(
+                    f"I + A dt has spectral radius {radius:.6g} >= 1 at "
+                    f"dt = {dt}; stable below dt = {bound:.6g}"
+                )
+            raise StepTooSmall(
+                f"I + A dt at dt = {dt:.6g} has computed spectral radius "
+                f"{radius:.17g} >= 1; this dt is below what double "
+                "precision resolves for the model, use a larger one, such "
+                f"as dt = {usable:.3g}"
             )
         noise_map = (system.noise_vector * math.sqrt(dt)).reshape(d, 1)
     operands = step, noise_map, _stationary_factor(covariance)
@@ -624,10 +651,11 @@ def sample_exact(
     SamplePath
         Stationary path: every column is marginally N(0, Sigma).
     """
-    phi, innovation, rng, z0 = _recursion_start(system, law, "exact", dt,
-                                                seed, stream)
-    values = _draw_path(phi, innovation, z0, n_steps, rng)
-    return SamplePath(dt=float(dt), values=values, seed=int(seed), method="exact")
+    rows, chunks = _path_start(system, law, "exact", dt, n_steps, seed,
+                               stream, whole=True)
+    for _ in chunks:
+        pass
+    return SamplePath(dt=float(dt), values=rows.T, seed=int(seed), method="exact")
 
 
 # ---------------------------------------------------------------------------
@@ -656,18 +684,25 @@ def sample_euler(
     Raises
     ------
     UnstableStep
-        If I + A dt has spectral radius >= 1. The message reports the
-        stable dt range.
+        If I + A dt has spectral radius >= 1 and no larger dt below the
+        stability bound euler_step_bound gives a contraction. The message
+        reports the stable dt range.
+    StepTooSmall
+        If I + A dt has computed spectral radius >= 1 at a dt so far
+        below the stability bound that I + A dt rounds towards the
+        identity. The message names a larger dt, below the bound, at
+        which the radius is below 1.
     FactorizationFailure
         If the law has a variance that is not positive, so the state
         cannot be scaled for the stationary factor.
     ValueError
         If dt is not positive and finite.
     """
-    step, noise_map, rng, z0 = _recursion_start(system, law, "euler", dt,
-                                                seed, stream)
-    values = _draw_path(step, noise_map, z0, n_steps, rng)
-    return SamplePath(dt=float(dt), values=values, seed=int(seed), method="euler")
+    rows, chunks = _path_start(system, law, "euler", dt, n_steps, seed,
+                               stream, whole=True)
+    for _ in chunks:
+        pass
+    return SamplePath(dt=float(dt), values=rows.T, seed=int(seed), method="euler")
 
 
 # ---------------------------------------------------------------------------
@@ -947,28 +982,21 @@ def spectral_replicates(
 CSV_BLOCK = 4096
 
 
-def write_csv(sample: SamplePath, path) -> None:
-    """Write the path as CSV with header t, y0, ..., yk.
+def write_csv(chunks, path, dt) -> None:
+    """Write a path as CSV with header t, y0, ..., yk.
 
-    Every value is written as %.17g, which reads back to the same
-    float64, and the bytes are those of np.savetxt with that format and
-    a "," delimiter. The rows are formatted CSV_BLOCK at a time
-    (_write_csv_chunks), so no (n+1, k+2) table is formed.
+    chunks are consecutive time-major (rows, k+1) stretches of the path
+    from grid point 0, on a grid of spacing dt: the one chunk
+    [sample.values.T] of a SamplePath, or _stream_path's chunks. Every
+    value is written as %.17g, which reads back to the same float64, and
+    the bytes are those of np.savetxt with that format and a ","
+    delimiter. Each chunk's rows are formatted CSV_BLOCK at a time, each
+    block by one % over its values, so the writer holds one block besides
+    the chunk and no (n+1, k+2) table is formed.
     """
-    _write_csv_chunks([(0, sample.values.T)], sample.dt, path)
-
-
-def _write_csv_chunks(chunks, dt, path) -> None:
-    """Write (grid index, time-major states) chunks, in order and from
-    grid index 0, as the CSV of write_csv, at grid spacing dt.
-
-    Each chunk's rows are formatted CSV_BLOCK at a time, each block by
-    one % over its values, so the writer holds one block besides the
-    chunk; fed _stream_path's chunks, it writes the bytes that write_csv
-    writes for the sampled path, holding one scan chunk of it.
-    """
+    start = 0
     with open(path, "w", encoding="ascii") as fh:
-        for start, states in chunks:
+        for states in chunks:
             n, d = states.shape
             if start == 0:
                 fh.write("t," + ",".join(f"y{j}" for j in range(d)) + "\n")
@@ -979,22 +1007,4 @@ def _write_csv_chunks(chunks, dt, path) -> None:
                 rows[:, 0] = dt * np.arange(start + lo, start + lo + len(rows))
                 rows[:, 1:] = states[lo:lo + len(rows)]
                 fh.write((row_fmt * len(rows)) % tuple(rows.ravel().tolist()))
-
-
-def write_metadata(sample: SamplePath, model_config: dict, path) -> None:
-    """Write the JSON sidecar recording how the path was produced."""
-    _write_meta(sample.method, sample.dt, sample.seed, model_config, path)
-
-
-def _write_meta(method: str, dt: float, seed: int, model_config: dict,
-                path) -> None:
-    """write_metadata's sidecar from the method, dt and seed alone."""
-    meta = {
-        "method": method,
-        "dt": dt,
-        "seed": seed,
-        "model": model_config,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+            start += n

@@ -22,8 +22,8 @@ from carkov.simulate import (
     exact_step_operator,
     sample_euler,
     sample_exact,
+    sample_spectral,
     write_csv,
-    write_metadata,
 )
 from conftest import make_random_spec
 
@@ -156,28 +156,35 @@ class TestSimulate:
         assert (a / "path.csv").read_bytes() != (b / "path.csv").read_bytes()
 
     @pytest.mark.parametrize("spec_name", ["spec_k2", "spec_k8"])
-    @pytest.mark.parametrize("method", ["exact", "euler"])
+    @pytest.mark.parametrize("method", ["exact", "euler", "spectral"])
     def test_streamed_path_is_the_sampled_path(self, tmp_path, request,
                                                 spec_name, method):
-        # the command writes the path a scan chunk at a time: the bytes
-        # of write_csv and write_metadata of the sampler's whole path,
-        # over two chunks of 32,768 steps (six of 10,912 for an exact
-        # d = 9 path) and a partial block of 7
+        # the command writes the exact and Euler paths a scan chunk at a
+        # time: the bytes of write_csv of the sampler's whole path, over
+        # two chunks of 32,768 steps (six of 10,912 for an exact d = 9
+        # path) and a partial block of 7; the spectral path is one chunk
         spec = request.getfixturevalue(spec_name)
         config = tmp_path / "model.json"
         config.write_text(json.dumps(model.to_config(spec)))
-        steps = 2 * SCAN_BLOCK * _chunk_blocks(1) + 7
+        if method == "spectral":
+            steps = 3007
+        else:
+            steps = 2 * SCAN_BLOCK * _chunk_blocks(1) + 7
         assert main(["simulate", "--model", str(config), "--method", method,
                      "--dt", "0.01", "--steps", str(steps), "--seed", "5",
                      "--out", str(tmp_path / "cli")]) == 0
-        system, law = assemble(spec)
-        sampler = sample_exact if method == "exact" else sample_euler
-        path = sampler(system, law, 0.01, steps, seed=5)
-        write_csv(path, tmp_path / "path.csv")
-        write_metadata(path, model.to_config(spec), tmp_path / "path_meta.json")
-        for name in ("path.csv", "path_meta.json"):
-            assert (tmp_path / "cli" / name).read_bytes() == \
-                (tmp_path / name).read_bytes(), name
+        if method == "spectral":
+            path = sample_spectral(spec, 0.01 * np.arange(steps + 1), seed=5)
+        else:
+            sampler = sample_exact if method == "exact" else sample_euler
+            path = sampler(*assemble(spec), 0.01, steps, seed=5)
+        write_csv([path.values.T], tmp_path / "path.csv", 0.01)
+        assert (tmp_path / "cli" / "path.csv").read_bytes() == \
+            (tmp_path / "path.csv").read_bytes()
+        meta = {"dt": 0.01, "method": method, "model": model.to_config(spec),
+                "seed": 5}
+        assert (tmp_path / "cli" / "path_meta.json").read_text() == \
+            json.dumps(meta, indent=2, sort_keys=True) + "\n"
 
     def test_memory_does_not_grow_with_the_steps(self, tmp_path):
         # the exact path goes to path.csv one scan chunk at a time: the
@@ -215,6 +222,13 @@ class TestSimulate:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "UnstableStep"
+        # far below the stability bound of 1, I + A dt rounds to radius 1:
+        # too small a step, not an unstable one
+        rc = main(["simulate", "--model", K2, "--method", "euler",
+                   "--dt", "1e-17", "--steps", "10", "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "StepTooSmall"
 
     def test_spectral_k0_exit_0(self, tmp_path):
         rc = main(["simulate", "--model", K0, "--method", "spectral",
@@ -261,6 +275,13 @@ class TestSimulate:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "StepTooSmall"
         assert "spectral radius" in err["message"]
+        # e^{A dt} at dt = 1e-300 has computed radius 1 - 1.1e-16 < 1, but
+        # contracts far faster than e^{-alpha dt}
+        rc = main(["simulate", "--model", K2, "--method", "exact",
+                   "--dt", "1e-300", "--steps", "10", "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "StepTooSmall"
 
     def test_simulate_does_not_load_scipy(self, tmp_path):
         # a fresh interpreter runs the spectral and exact samplers (the

@@ -63,6 +63,7 @@ class TestValidate:
         ([complex(0.0, float("inf"))], 1.0, "infj"),
         ([complex(float("nan"), 1.0)], 1.0, "nan"),
         ([1j], float("inf"), "inf"),
+        ([1j], float("nan"), "nan"),
     ])
     def test_non_finite_rejected(self, roots, scale, value):
         with pytest.raises(CarkovError, match="finite") as err:

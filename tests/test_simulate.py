@@ -1,9 +1,9 @@
 """Samplers: exact transition, Euler, spectral synthesis."""
 
-import json
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,12 +48,13 @@ from carkov.simulate import (
     euler_step_bound,
     exact_step_operator,
     write_csv,
-    write_metadata,
 )
 
 from conftest import make_random_spec, make_stiff_spec
 
 PI = math.pi
+CONFIG_FILES = sorted(
+    (Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
 class TestExactStepOperator:
@@ -193,6 +194,48 @@ class TestStepTooSmall:
                 path = sample_exact(system, law, usable, 5, seed=0)
                 assert np.isfinite(path.values).all()
         assert raised > 0
+
+    def test_contraction_off_by_more_than_2_is_refused(self, spec_k2):
+        # the computed e^{A dt} can have radius below 1 and still contract
+        # at the wrong rate: 1 - 1.1e-16 on k2 at dt = 1e-300, and 111 and
+        # 11 times the true rate on a k = 4 model at 1e-18 and 1e-17 tau
+        cases = [(*assemble(spec_k2), 1e-300)]
+        spec = make_random_spec(np.random.default_rng(1), 4)
+        tau = 1.0 / min(z.imag for z in spec.roots)
+        cases += [(*assemble(spec), f * tau) for f in (1e-18, 1e-17)]
+        for system, law, dt in cases:
+            with pytest.raises(StepTooSmall, match="contraction") as err:
+                sample_exact(system, law, dt, 5, seed=0)
+            usable = float(re.search(r"such as dt = (\S+)$",
+                                     str(err.value)).group(1))
+            assert dt < usable <= 1e-12 * tau
+            assert np.isfinite(sample_exact(system, law, usable, 5,
+                                            seed=0).values).all()
+
+    def test_dt_from_1e_12_tau_resolves(self):
+        # the shipped configs and regular models up to k = 10
+        specs = [model.load_model(path) for path in CONFIG_FILES]
+        rng = np.random.default_rng(2)
+        specs += [make_random_spec(rng, k) for k in range(11) for _ in range(3)]
+        for spec in specs:
+            system, law = assemble(spec)
+            tau = 1.0 / min(z.imag for z in spec.roots)
+            for e in range(-12, 3):
+                exact_step_operator(system, law, 10.0**e * tau)
+
+    def test_euler_below_the_stability_bound(self, spec_k2):
+        # I + A dt rounds to radius 1 at dt = 1e-17, far below the bound
+        # of 1: that dt is too small, not unstable
+        system, law = assemble(spec_k2)
+        with pytest.raises(StepTooSmall, match="spectral radius") as err:
+            sample_euler(system, law, 1e-17, 5, seed=0)
+        usable = float(re.search(r"such as dt = (\S+)$",
+                                 str(err.value)).group(1))
+        assert 1e-17 < usable < euler_step_bound(system)
+        assert np.isfinite(sample_euler(system, law, usable, 5,
+                                        seed=0).values).all()
+        with pytest.raises(UnstableStep):
+            sample_euler(system, law, 1.01, 5, seed=0)
 
 
 def count_operator_calls(monkeypatch):
@@ -717,7 +760,7 @@ class TestPathIO:
         system, law = assemble(spec_k1_pair)
         path = sample_exact(system, law, 0.5, 3, seed=1)
         f = tmp_path / "p.csv"
-        write_csv(path, f)
+        write_csv([path.values.T], f, path.dt)
         lines = f.read_text().splitlines()
         assert lines[0] == "t,y0,y1"
         assert len(lines) == 5
@@ -729,7 +772,7 @@ class TestPathIO:
         system, law = assemble(spec_k0)
         path = sample_exact(system, law, 0.1, 50, seed=2)
         f = tmp_path / "p.csv"
-        write_csv(path, f)
+        write_csv([path.values.T], f, path.dt)
         back = np.loadtxt(f, delimiter=",", skiprows=1)
         np.testing.assert_array_equal(back[:, 1], path.values[0])
 
@@ -745,24 +788,11 @@ class TestPathIO:
             sampler = sample_exact if method == "exact" else sample_euler
             path = sampler(system, law, 0.01, 2 * CSV_BLOCK + 5, seed=3)
         f, ref = tmp_path / "p.csv", tmp_path / "ref.csv"
-        write_csv(path, f)
+        write_csv([path.values.T], f, path.dt)
         header = "t," + ",".join(f"y{j}" for j in range(spec.k + 1))
         np.savetxt(ref, np.column_stack([path.times, path.values.T]),
                    delimiter=",", header=header, comments="", fmt="%.17g")
         assert f.read_bytes() == ref.read_bytes()
-
-    def test_metadata(self, tmp_path, spec_k0):
-        system, law = assemble(spec_k0)
-        path = sample_exact(system, law, 0.1, 5, seed=42)
-        f = tmp_path / "meta.json"
-        write_metadata(path, model.to_config(spec_k0), f)
-        meta = json.loads(f.read_text())
-        assert meta == {
-            "dt": 0.1,
-            "method": "exact",
-            "model": {"roots": [[0.0, 1.0]], "scale": 1.0},
-            "seed": 42,
-        }
 
 
 class TestGeneratorStreams:
