@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import covariance, markov, model, simulate, validate
+from . import covariance, markov, model, simulate
 from .errors import CarkovError
 
 _SEED_ENV = "CARKOV_SEED"
@@ -56,6 +56,8 @@ def _dump_json(payload: dict | list, path: Path) -> None:
 # analyze
 
 def cmd_analyze(args) -> int:
+    from . import validate  # on first use: carkov simulate does not need it
+
     if args.tmax is not None and not 0.0 < args.tmax < math.inf:
         raise CarkovError(f"--tmax must be finite and positive, got {args.tmax}")
     if args.points < 1:
@@ -151,6 +153,8 @@ def cmd_simulate(args) -> int:
 # verify
 
 def cmd_verify(args) -> int:
+    from . import validate
+
     spec = model.load_model(args.model)
     seed = _resolve_seed(args.seed)
     reports = validate.run_suite(

@@ -76,10 +76,11 @@ class UnstableStep(CarkovError):
 
 class StepTooSmall(CarkovError):
     """dt is below what double precision resolves for the model. The exact
-    step e^{A dt} has a computed spectral radius of 1 or above, or a
-    computed contraction 1 - radius more than a factor of 2 from the true
-    1 - e^{-alpha dt}; every dt >= 1e-11 tau passed on the shipped configs
-    and 2,200 of the tests' regular models up to k = 10. Or the Euler step
+    step e^{A dt} has a computed contraction 1 - radius, read from the
+    eigenvalues of e^{A dt} - I, that is not positive or is more than a
+    factor of 2 from the true 1 - e^{-alpha dt}; every dt >= 1e-12 tau
+    passed on the shipped configs and 2,200 of the tests' regular models
+    up to k = 10. Or the Euler step
     I + A dt rounds to radius 1 or above far below its stability bound.
     The message names a larger dt that it does resolve."""
 

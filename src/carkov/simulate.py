@@ -157,11 +157,14 @@ def _scan_tables(step_bytes, noise_bytes, d, q, B):
     block of w < B steps is its prefix table[:d + w q, :w d]. Keyed on the
     operands' bytes, so repeated calls with one operator (many paths
     sampled at one dt and method) build it once; raises ValueError, which
-    is not cached, when step has spectral radius >= 1.
+    is not cached, when step has spectral radius >= 1. The radius is read
+    as max |1 + nu| over the eigenvalues nu of step - I, whose computed
+    error scales with ||step - I|| rather than with ||step||: a step near
+    the identity (the exact chain at small dt) keeps its distance from 1.
     """
     step = np.frombuffer(step_bytes).reshape(d, d)
     noise_map = np.frombuffer(noise_bytes).reshape(d, q)
-    radius = np.abs(np.linalg.eigvals(step)).max()
+    radius = np.abs(1.0 + np.linalg.eigvals(step - np.eye(d))).max()
     if not radius < 1.0:
         raise ValueError(
             f"step has spectral radius {radius:.6g} >= 1; the blocked "
@@ -440,10 +443,9 @@ def _van_loan(system: ItoSystem, scale: np.ndarray, dt: float):
     block exponential in the state scaled by scale (see
     exact_step_operator): phi is unscaled, and Q_scaled is Q in the
     scaled state, D^-1 Q D^-1 with D = diag(scale). radius is the
-    computed spectral radius of phi, which the state recursion needs
-    below 1, and contraction is the least 1 - |mu| over the eigenvalues
-    mu of D^-1 phi D, computed as 1 - |1 + nu| from those of
-    D^-1 phi D - I (_resolved)."""
+    largest |mu| over the eigenvalues mu of D^-1 phi D, and contraction
+    the least 1 - |mu|, both read from the eigenvalues nu of
+    D^-1 phi D - I as mu = 1 + nu (_resolved)."""
     d = scale.size
     drift = system.companion * scale / scale[:, None]
     noise = system.noise_vector / scale
@@ -461,25 +463,28 @@ def _van_loan(system: ItoSystem, scale: np.ndarray, dt: float):
         q = q + phi @ q @ phi.T
         phi = phi @ phi
     nu = np.linalg.eigvals(phi - np.eye(d))
-    contraction = (-(2.0 * nu.real + abs(nu)**2) / (1.0 + abs(1.0 + nu))).min()
+    modulus = abs(1.0 + nu)
+    contraction = (-(2.0 * nu.real + abs(nu)**2) / (1.0 + modulus)).min()
     phi = phi * scale[:, None] / scale
-    return phi, q, _spectral_radius(phi), contraction
+    return phi, q, modulus.max(), contraction
 
 
 def _spectral_radius(m):
     return np.abs(np.linalg.eigvals(m)).max()
 
 
-def _resolved(radius, contraction, alpha, dt):
+def _resolved(contraction, alpha, dt):
     """Whether double precision resolves the step e^(A dt) whose computed
-    radius and contraction _van_loan gives, for the slowest decay rate
-    alpha = -max Re eig(A): the radius is below 1, and the contraction is
-    within a factor of 2 of the true 1 - e^(-alpha dt). The contraction
-    comes from the eigenvalues of phi - I, whose computed error scales
-    with ||A dt|| rather than with ||phi|| = 1: on a k = 10 model at
-    2e-12 tau, 1 - radius of phi itself came out at 0.09 of the truth."""
+    contraction _van_loan gives, for the slowest decay rate
+    alpha = -max Re eig(A): the contraction is within a factor of 2 of
+    the true 1 - e^(-alpha dt), so it is positive and the radius below 1.
+    The contraction comes from the eigenvalues of phi - I, whose computed
+    error scales with ||A dt|| rather than with ||phi|| = 1: on a k = 10
+    model at 2e-12 tau, 1 - radius read from the eigenvalues of phi
+    itself came out at 0.09 of the truth, and at 1e-12 tau some k = 9 and
+    10 models read a radius above 1."""
     true = -math.expm1(-alpha * dt)
-    return radius < 1.0 and 0.5 * true <= contraction <= 2.0 * true
+    return 0.5 * true <= contraction <= 2.0 * true
 
 
 def _first_resolved(dt, limit, resolves):
@@ -518,13 +523,14 @@ def exact_step_operator(
     ------
     StepTooSmall
         If double precision does not resolve phi (_resolved): its
-        computed eigenvalues reach modulus 1, which the state recursion
-        cannot advance, or its computed contraction 1 - radius is off by
-        more than a factor of 2 from the true 1 - e^(-alpha dt), alpha =
-        -max Re eig(A), so the path would decay at the wrong rate. Every
-        dt >= 1e-11 tau passed on the shipped configs and on 2,200 of the
-        tests' regular models up to k = 10; the floor rises from about
-        1e-16 tau at k <= 2 to 1e-12 tau for a few k = 10 models. The
+        computed contraction 1 - radius, read from the eigenvalues of
+        phi - I, is off by more than a factor of 2 from the true
+        1 - e^(-alpha dt), alpha = -max Re eig(A), so the path would
+        decay at the wrong rate, or it is not positive, so the state
+        recursion cannot advance. Every dt >= 1e-12 tau passed on the
+        shipped configs and on 2,200 of the tests' regular models up to
+        k = 10, and the floor is about 1e-16 tau at every k (at most
+        10^-15.75 tau over 280 of those models, k = 0 to 10). The
         message names a usable dt: the first of dt 2^j (j >= 1), rounded
         to 3 significant digits, below 1 / alpha that passes.
     FactorizationFailure
@@ -551,9 +557,9 @@ def exact_step_operator(
     scale = _variance_scale(law.covariance)
     alpha = -np.linalg.eigvals(system.companion).real.max()
     phi, q, radius, contraction = _van_loan(system, scale, dt)
-    if not _resolved(radius, contraction, alpha, dt):
+    if not _resolved(contraction, alpha, dt):
         usable = _first_resolved(dt, 1.0 / alpha, lambda t: _resolved(
-            *_van_loan(system, scale, t)[2:], alpha, t))
+            _van_loan(system, scale, t)[3], alpha, t))
         raise StepTooSmall(
             f"e^(A dt) at dt = {dt:.6g} has computed spectral radius "
             f"{radius:.17g} and contraction {contraction:.3g} against the "
@@ -731,9 +737,15 @@ SPECTRAL_RESOLUTION_TOL = 1e-3
 #: aliasing (configs/k0.json, span 100 tau)
 SPECTRAL_LAG_TOL = 1e-2
 
-#: times and panels per block of the spectral sum: cos and sin of the
-#: phases are formed one (times, panels) block at a time
+#: times and panels per block of the spectral sum: the phases are formed
+#: one (times, panels) block at a time
 SPECTRAL_BLOCK = 256
+
+#: times per coarse phase row of the spectral sum (_spectral_rows): the
+#: phases of SPECTRAL_FINE consecutive times are one coarse row times
+#: SPECTRAL_FINE fine rows, so only the coarse and fine rows take a cos
+#: and a sin
+SPECTRAL_FINE = 16
 
 #: standard normals in each of spectral_replicates' two draw blocks: 256
 #: replicates at 4096 panels, 8 MiB a block
@@ -783,9 +795,9 @@ def _spectral_design(spec, times):
     """Mapped midpoint grid of the spectral integral at the requested times.
 
     Returns (times, z, weights): the times as a float array, the N panel
-    frequencies z, and weights[j] = amp * z^j, the panel amplitude of
-    Y^(j). _spectral_rows turns these and the two white-noise vectors
-    into the rows Y^(j).
+    frequencies z, and weights[j] = amp * z^j (j products with z), the
+    panel amplitude of Y^(j). _spectral_rows turns these and the two
+    white-noise vectors into the rows Y^(j).
 
     The frequencies are z_p = s tan(pi (u_p - 1/2)) at the midpoints
     u_p = (p + 1/2) / N of [0, 1] (Boyd 1987, J. Comput. Phys. 69:112),
@@ -826,7 +838,10 @@ def _spectral_design(spec, times):
         z = s * np.tan(math.pi * (u - 0.5))
         dz_du = math.pi * (s + z**2 / s)
         amp = np.sqrt(dz_du / (n_panels * abs_p_squared(spec, z)))
-        weights = amp * z[None, :] ** np.arange(spec.k + 1)[:, None]
+        weights = np.empty((spec.k + 1, n_panels))
+        weights[0] = amp
+        for j in range(1, spec.k + 1):
+            np.multiply(weights[j - 1], z, out=weights[j])
         gap = _design_gap(z, weights, variances, lags, r_lags)
         if gap is None:
             return times, z, weights
@@ -853,6 +868,15 @@ def _gemm(a, b):
     return a @ b
 
 
+def _unit_phases(offsets, z, out):
+    """out[a, p] = e^(i z_p offsets[a]), in place: the angles go into
+    out.imag, their cosines into out.real and their sines over the
+    angles."""
+    np.multiply(offsets[:, None], z, out=out.imag)
+    np.cos(out.imag, out=out.real)
+    np.sin(out.imag, out=out.imag)
+
+
 def _spectral_rows(design, xi_cos, xi_sin):
     """Rows Y^(j) = sum over panels of w_j (cos(theta + j pi/2) xi_cos +
     sin(theta + j pi/2) xi_sin), with theta = outer(times, z).
@@ -863,36 +887,58 @@ def _spectral_rows(design, xi_cos, xi_sin):
     (b, -a). xi_cos and xi_sin are (m, N) for m draws; the result is
     (k+1, m, T).
 
-    The sum runs over blocks of SPECTRAL_BLOCK panels, in order. For each
-    block the turned weights of every row and draw form one
-    ((k+1) m, 2 b) matrix; for each SPECTRAL_BLOCK times, [cos | sin] of
-    theta is formed in one buffer, theta in place of its sines, and
-    multiplied by it in one gemm (_gemm), which adds the block to those
-    times' rows. So the temporaries are one block and the per-panel grid
-    whatever the number of times, and the rows do not depend on the BLAS
-    thread count.
+    The sum runs over blocks of SPECTRAL_BLOCK panels, in order. The
+    phases e^(i theta) come by angle addition: with F = min(SPECTRAL_FINE,
+    T), the phase of time F a + b is the coarse row e^(i z t_(F a)) times
+    the fine row e^(i z (t_b - t_0)), b < F. For each panel block the F
+    fine rows are evaluated once, and for each SPECTRAL_BLOCK times their
+    coarse rows; one complex product per coarse row then fills one
+    buffer with the block's phases. Viewed as float64, the buffer
+    interleaves [cos, sin] per panel, so the turned weights of every row
+    and draw are interleaved the same way, into one ((k+1) m, 2 b)
+    matrix, and one gemm (_gemm) adds the block to those times' rows. So
+    per panel block only 1/F of the times and F offsets take a cos and a
+    sin, the temporaries are one block and the per-panel grid whatever
+    the number of times, and the rows do not depend on the BLAS thread
+    count.
+
+    The two angles sum to z t_(F a + b) up to the grid's departure from
+    uniform: on grids of dt * arange(n) or linspace that is about
+    ulp(t) |z|, the rounding of the direct product z t itself. A grid
+    whose steps spread by the 1e-9 relative that _spectral_design admits
+    can be off by up to (F - 1) 1e-9 dt |z| in the phase.
     """
     times, z, weights = design
     k1, m, size = len(weights), len(xi_cos), times.size
     rows = np.zeros((k1, m, size))
     flat = rows.reshape(k1 * m, size)
     span = min(SPECTRAL_BLOCK, size)
-    trig = np.empty((span, 2 * SPECTRAL_BLOCK))
+    fine_n = min(SPECTRAL_FINE, size)
+    n_coarse = -(-span // fine_n)
+    fine = np.empty((fine_n, SPECTRAL_BLOCK), dtype=complex)
+    coarse = np.empty((n_coarse, SPECTRAL_BLOCK), dtype=complex)
+    # one (n_coarse F, SPECTRAL_BLOCK) buffer, seen as (coarse, fine, panel)
+    phases = np.empty((n_coarse, fine_n, SPECTRAL_BLOCK), dtype=complex)
+    trig = phases.reshape(n_coarse * fine_n, SPECTRAL_BLOCK).view(float)
     for p in range(0, z.size, SPECTRAL_BLOCK):
         nb = min(SPECTRAL_BLOCK, z.size - p)
-        turned = np.empty((k1, m, 2 * nb))
+        zb = z[p:p + nb]
+        _unit_phases(times[:fine_n] - times[0], zb, fine[:, :nb])
+        turned = np.empty((k1, m, nb, 2))
         a, b = xi_cos[:, p:p + nb], xi_sin[:, p:p + nb]
         for j in range(k1):
-            np.multiply(a, weights[j, p:p + nb], out=turned[j, :, :nb])
-            np.multiply(b, weights[j, p:p + nb], out=turned[j, :, nb:])
+            np.multiply(a, weights[j, p:p + nb], out=turned[j, :, :, 0])
+            np.multiply(b, weights[j, p:p + nb], out=turned[j, :, :, 1])
             a, b = b, -a
         turned = turned.reshape(k1 * m, 2 * nb)
         for t in range(0, size, span):
             nt = min(span, size - t)
-            cos, sin = trig[:nt, :nb], trig[:nt, nb:2 * nb]
-            np.multiply(times[t:t + nt, None], z[p:p + nb], out=sin)
-            np.cos(sin, out=cos)
-            np.sin(sin, out=sin)
+            nc = -(-nt // fine_n)
+            _unit_phases(times[t:t + nt:fine_n], zb, coarse[:nc, :nb])
+            # one product per coarse row: one broadcast over all of them
+            # would have numpy buffer two operands, 256 KiB past the block
+            for c in range(nc):
+                np.multiply(fine[:, :nb], coarse[c, :nb], out=phases[c, :, :nb])
             flat[:, t:t + nt] += _gemm(turned, trig[:nt, :2 * nb].T)
     return rows
 

@@ -255,12 +255,12 @@ class TestSimulate:
         assert "--dt" in err["message"]
 
     def test_exact_step_too_small_exit_2(self, tmp_path, capsys):
-        # the first random k = 8 / k = 10 model whose e^{A dt} rounds to
-        # spectral radius >= 1 at dt = 1e-15 tau
+        # the first random k = 8 / k = 10 model whose e^{A dt} double
+        # precision does not resolve at dt = 1e-16 tau
         rng = np.random.default_rng(5)
         for i in range(20):
             spec = make_random_spec(rng, 8 if i % 2 == 0 else 10)
-            dt = 1e-15 / min(z.imag for z in spec.roots)
+            dt = 1e-16 / min(z.imag for z in spec.roots)
             try:
                 exact_step_operator(*assemble(spec), dt)
             except StepTooSmall:
@@ -312,6 +312,23 @@ class TestSimulate:
             assert abs(quadrature_r(spec, 0, 0.0) - {math.pi!r}) < 1e-6
             loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
             assert not loaded, loaded
+            """)
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+
+    def test_simulate_does_not_load_the_verifier(self, tmp_path):
+        # carkov simulate imports carkov.validate for none of its methods
+        code = textwrap.dedent(f"""
+            import sys
+            import carkov.cli
+            for method in ("exact", "euler", "spectral"):
+                rc = carkov.cli.main([
+                    "simulate", "--model", {K2!r}, "--method", method,
+                    "--steps", "50", "--out", {str(tmp_path)!r} + "/" + method])
+                assert rc == 0, method
+            assert "carkov.validate" not in sys.modules
             """)
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
         run = subprocess.run([sys.executable, "-c", code], env=env,

@@ -163,13 +163,14 @@ def van_loan_innovation(system, dt):
 
 def too_small_steps(n_models=20):
     """(spec, system, law, dt) for random k = 8 and k = 10 models at
-    dt = 1e-15 tau, where e^{A dt} rounds towards the identity."""
+    dt = 1e-16 tau, where e^{A dt} rounds towards the identity (17 of
+    the 20 are refused there, and all 20 sample at 1e-15 tau)."""
     rng = np.random.default_rng(5)
     for i in range(n_models):
         spec = make_random_spec(rng, 8 if i % 2 == 0 else 10)
         system, law = assemble(spec)
         tau = 1.0 / min(z.imag for z in spec.roots)
-        yield spec, system, law, 1e-15 * tau
+        yield spec, system, law, 1e-16 * tau
 
 
 class TestStepTooSmall:
@@ -222,6 +223,27 @@ class TestStepTooSmall:
             tau = 1.0 / min(z.imag for z in spec.roots)
             for e in range(-12, 3):
                 exact_step_operator(system, law, 10.0**e * tau)
+
+    @pytest.mark.parametrize("k, seed, log_dt", [
+        (10, 79, -12.0), (10, 132, -12.0), (10, 79, -11.75),
+        (10, 132, -11.75), (9, 93, -11.75)])
+    def test_radius_read_from_step_minus_identity(self, k, seed, log_dt):
+        # eigvals of phi itself put these steps' radius at 1 + 2e-13 to
+        # 1 + 7e-13, an error of about u ||phi||, while the eigenvalues
+        # of phi - I keep it below 1 and the contraction near the truth:
+        # the path is the sequential loop's
+        spec = make_random_spec(np.random.default_rng(seed), k)
+        system, law = assemble(spec)
+        dt = 10.0**log_dt / min(z.imag for z in spec.roots)
+        path = sample_exact(system, law, dt, 1000, seed=0)
+        phi, innovation = exact_step_operator(system, law, dt)
+        rng = _generator(0, "exact", 0)
+        loop = np.empty((k + 1, 1001))
+        loop[:, 0] = _stationary_factor(law.covariance) @ rng.standard_normal(k + 1)
+        for m, xi in enumerate(rng.standard_normal((1000, k + 1))):
+            loop[:, m + 1] = phi @ loop[:, m] + innovation @ xi
+        scale = np.abs(loop).max(axis=1, keepdims=True)
+        assert (np.abs(path.values - loop) <= 1e-10 * scale).all()
 
     def test_euler_below_the_stability_bound(self, spec_k2):
         # I + A dt rounds to radius 1 at dt = 1e-17, far below the bound
@@ -503,6 +525,32 @@ def mapped_grid(spec, n):
     return z, amp
 
 
+def kernel_case(spec, times, draws):
+    """(design, xi_cos, xi_sin) on the SPECTRAL_PANELS-panel mapped grid
+    at the given times, with weights amp z^j and seeded noise."""
+    z, amp = mapped_grid(spec, SPECTRAL_PANELS)
+    weights = amp * z ** np.arange(spec.k + 1)[:, None]
+    rng = np.random.default_rng(9)
+    xi = rng.standard_normal((2, draws, z.size))
+    return (np.asarray(times, dtype=float), z, weights), xi[0], xi[1]
+
+
+def direct_rows(design, xi_cos, xi_sin, at):
+    """(k+1, draws, len(at)) rows at times[at] from one cos and one sin
+    of outer(times, z) per (time, panel) pair: row j is
+    cos(theta) @ (w_j a_j) + sin(theta) @ (w_j b_j), with (a_j, b_j) =
+    (xi_cos, xi_sin) turned j quarter turns."""
+    times, z, weights = design
+    theta = np.outer(times[at], z)
+    cos, sin = np.cos(theta), np.sin(theta)
+    rows = []
+    a, b = xi_cos, xi_sin
+    for w in weights:
+        rows.append((a * w) @ cos.T + (b * w) @ sin.T)
+        a, b = b, -a
+    return np.stack(rows)
+
+
 def design_lag_error(spec, cov):
     """Panel frequencies and row weights of the design on 0..25 tau at
     0.25 tau spacing, and the largest |design covariance - r| / r(0) of
@@ -648,6 +696,36 @@ class TestSpectral:
             single = sample_spectral(spec, times, seed=5, stream=stream).values
             assert (np.abs(single - want) <= 1e-12 * scale).all()
             assert (np.abs(reps[stream] - want) <= 1e-12 * scale).all()
+
+    @pytest.mark.parametrize("k", [0, 2, 8])
+    @pytest.mark.parametrize("times", [
+        0.01 * np.arange(2 * SPECTRAL_BLOCK + 7),  # a partial coarse block
+        0.01 * np.arange(5),                       # fewer times than F
+        np.linspace(3.0, 8.0, 301),                # a non-zero start
+    ], ids=["blocks", "five", "shifted"])
+    def test_rows_match_direct_trig(self, k, times):
+        # the phases by angle addition against one cos and one sin per
+        # (time, panel) pair, over 16 panel blocks
+        spec = make_random_spec(np.random.default_rng(200 + k), k)
+        design, xi_cos, xi_sin = kernel_case(spec, times, draws=1 if k == 0 else 2)
+        rows = simulate._spectral_rows(design, xi_cos, xi_sin)
+        want = direct_rows(design, xi_cos, xi_sin, np.arange(times.size))
+        scale = np.abs(want).max(axis=2, keepdims=True)
+        assert (np.abs(rows - want) <= 1e-12 * scale).all()
+
+    def test_rows_match_direct_trig_on_a_long_grid(self):
+        # 1e5 times: both kernels round z t, so they part by up to
+        # u max|t| max|z| of each row's largest value
+        spec = make_random_spec(np.random.default_rng(208), 8)
+        times = 0.01 * np.arange(100_000)
+        design, xi_cos, xi_sin = kernel_case(spec, times, draws=1)
+        at = np.linspace(0, times.size - 1, 200).astype(int)
+        rows = simulate._spectral_rows(design, xi_cos, xi_sin)[:, :, at]
+        want = direct_rows(design, xi_cos, xi_sin, at)
+        scale = np.abs(want).max(axis=2, keepdims=True)
+        bound = np.finfo(float).eps / 2 * times[-1] * np.abs(design[1]).max()
+        assert bound < 1e-8
+        assert (np.abs(rows - want) <= bound * scale).all()
 
     def test_replicates_match_single_draws(self, spec_k1_pair):
         times = np.arange(3) * 0.5
