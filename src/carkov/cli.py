@@ -63,9 +63,7 @@ def cmd_analyze(args) -> int:
     if args.points < 1:
         raise CarkovError(f"--points must be at least 1, got {args.points}")
     spec = model.load_model(args.model)
-    cov = covariance.residue_expansion(spec)
-    mom = covariance.moments(cov)
-    system, law = markov._assemble_from_moments(spec, mom)
+    cov, system, law = markov.build(spec)
 
     eig = np.sort_complex(np.linalg.eigvals(system.companion))
     expected = np.sort_complex(np.array([1j * z for z in spec.roots]))
@@ -77,8 +75,8 @@ def cmd_analyze(args) -> int:
         "k": spec.k,
         "covariance": covariance.cov_to_config(cov),
         "moments": {
-            "even": [float(v) for v in mom.even_moments],
-            "top_plus": float(mom.top_plus),
+            "even": [float(v) for v in system.moments.even_moments],
+            "top_plus": float(system.moments.top_plus),
         },
         "ito": markov.ito_to_config(system, law)
         | {"b_squared": float(system.diffusion**2)},
@@ -97,8 +95,7 @@ def cmd_analyze(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _dump_json(payload, out_dir / "analysis.json")
 
-    tau = 1.0 / min(z.imag for z in spec.roots)
-    tmax = args.tmax if args.tmax is not None else 5.0 * tau
+    tmax = args.tmax if args.tmax is not None else 5.0 * cov.tau
     grid = np.linspace(0.0, tmax, args.points)
     curve = np.column_stack([grid, covariance.eval_r(cov, 0, grid)])
     np.savetxt(
@@ -127,6 +124,10 @@ def cmd_simulate(args) -> int:
         raise CarkovError(f"--dt must be finite and positive, got {args.dt}")
     if args.steps <= 0:
         raise CarkovError(f"--steps must be positive, got {args.steps}")
+    if (args.steps > sys.float_info.max
+            or not math.isfinite(args.dt * args.steps)):
+        raise CarkovError(f"the grid's end --dt x --steps = {args.dt} x "
+                          f"{args.steps} must be finite")
 
     # the exact and Euler paths go to path.csv one scan chunk at a time,
     # the spectral path as one chunk
@@ -134,8 +135,8 @@ def cmd_simulate(args) -> int:
         times = args.dt * np.arange(args.steps + 1)
         chunks = [simulate.sample_spectral(spec, times, seed).values.T]
     else:
-        chunks = simulate._stream_path(*markov.assemble(spec), args.method,
-                                       args.dt, args.steps, seed)
+        chunks = simulate.stream_path(*markov.assemble(spec), args.method,
+                                      args.dt, args.steps, seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     simulate.write_csv(chunks, out_dir / "path.csv", args.dt)

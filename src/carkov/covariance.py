@@ -63,6 +63,11 @@ class CovarianceModel:
     terms: tuple[tuple[complex, complex, int], ...]
     k: int
 
+    @property
+    def tau(self) -> float:
+        """Correlation time 1 / min Im(root), the slowest decay of the terms."""
+        return 1.0 / min(root.imag for _c, root, _p in self.terms)
+
 
 @dataclass(frozen=True)
 class SpectralMoments:

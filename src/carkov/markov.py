@@ -8,6 +8,9 @@ covariance is the matrix of the residue expansion's derivative moments.
 The moment route to a and b^2 (a Gram solve, and the jump of the
 covariance's 2k+1-st derivative at the origin) is the verification
 suite's cross-check, not the source of the system.
+
+build is the one pipeline, roots -> covariance -> moments -> (system,
+law); assemble, validate.run_suite and carkov analyze all go through it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import SpectralMoments, _hankel_order, moments, residue_expansion
+from .covariance import (CovarianceModel, SpectralMoments, _hankel_order,
+                         moments, residue_expansion)
 from .errors import NonPositiveDiffusion, NotPositiveDefinite
 from .model import RootSpec, ode_char_poly
 
@@ -88,34 +92,32 @@ def stationary_law(mom: SpectralMoments) -> StationaryLaw:
     return StationaryLaw(covariance=sigma)
 
 
-def _assemble_from_moments(
-    spec: RootSpec, mom: SpectralMoments
-) -> tuple[ItoSystem, StationaryLaw]:
-    """Ito system of spec, carrying mom, and the stationary law from mom.
+def build(spec: RootSpec) -> tuple[CovarianceModel, ItoSystem, StationaryLaw]:
+    """The one pipeline from a validated root spec: (cov, system, law).
 
-    The drift row is -chi and b^2 = 2 pi prod |zeta_j|^2 / scale^2, the
-    jump of the covariance's 2k+1-st derivative at the origin in closed
-    form. NonPositiveDiffusion if b^2 is not positive and finite: it
-    underflows to 0, for one, for six roots of size 1e-60.
+    cov is the residue expansion of r. Its moments give the stationary
+    law and travel with the system (system.moments) for the closed-form
+    checks. The drift row is -chi and b^2 = 2 pi prod |zeta_j|^2 /
+    scale^2. Errors come in pipeline order: the residue expansion's,
+    then NonPositiveDiffusion if b^2 is not positive and finite (it
+    underflows to 0 for six roots of size 1e-60), then
+    NotPositiveDefinite.
     """
+    cov = residue_expansion(spec)
+    mom = moments(cov)
     b2 = float(2.0 * np.pi * np.prod([abs(z) ** 2 for z in spec.roots])
                / spec.scale**2)
     if not 0.0 < b2 < math.inf:
         raise NonPositiveDiffusion(f"b^2 = {b2} must be positive and finite")
     drift = -np.asarray(ode_char_poly(spec).coefficients[: spec.k + 1])
     system = ItoSystem(drift=drift, diffusion=math.sqrt(b2), moments=mom)
-    return system, stationary_law(mom)
+    return cov, system, stationary_law(mom)
 
 
 def assemble(spec: RootSpec) -> tuple[ItoSystem, StationaryLaw]:
-    """Full pipeline from a validated root spec to the Ito system.
-
-    The drift and diffusion come from the roots; the residue expansion's
-    moments give the stationary covariance and travel with the system,
-    for the verification suite's closed-form checks to compare the two
-    routes.
-    """
-    return _assemble_from_moments(spec, moments(residue_expansion(spec)))
+    """(system, law) of build(spec), for callers that do not need the
+    covariance."""
+    return build(spec)[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -161,12 +161,23 @@ def to_config(spec: RootSpec) -> dict:
     }
 
 
+def _number(value, field: str):
+    """value if it is a JSON number (an int or a float, not a bool), else
+    TypeError naming field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{field} must be a number, got {value!r}")
+    return value
+
+
 def from_config(cfg: dict) -> RootSpec:
-    """Validate a dict in the format produced by :func:`to_config`."""
+    """Validate a dict in the format produced by :func:`to_config`, whose
+    root parts and scale are JSON numbers."""
     try:
-        roots = [complex(re, im) for re, im in cfg["roots"]]
-        scale = float(cfg["scale"])
-    except (KeyError, TypeError, ValueError) as exc:
+        roots = [complex(_number(re, f"roots[{i}][0]"),
+                         _number(im, f"roots[{i}][1]"))
+                 for i, (re, im) in enumerate(cfg["roots"])]
+        scale = float(_number(cfg["scale"], "scale"))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CarkovError(f"malformed model config: {exc}") from exc
     return validate(roots, scale)
 

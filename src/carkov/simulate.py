@@ -388,7 +388,7 @@ def _path_start(system, law, method, dt, n_steps, seed, stream, whole):
     return rows, _path_chunks(step, noise_map, n_steps, rng, rows)
 
 
-def _stream_path(system, law, method, dt, n_steps, seed):
+def stream_path(system, law, method, dt, n_steps, seed):
     """The path that sample_exact (method "exact") or sample_euler
     ("euler") draws with these arguments on stream 0, as an iterator of
     time-major chunks for write_csv: the initial state, then one scan
@@ -752,14 +752,13 @@ SPECTRAL_FINE = 16
 SPECTRAL_DRAW_BLOCK = 256 * SPECTRAL_PANELS
 
 
-def _checked_lags(spec, times):
+def _checked_lags(tau, times):
     """Lags of the requested times at which the design covariance is
-    checked: from 0 to the span, at most one per tau/2 (tau = 1 / min
-    Im zeta) besides the span itself."""
+    checked: from 0 to the span, at most one per tau/2 (tau the
+    correlation time, CovarianceModel.tau) besides the span itself."""
     size = times.size
     if size == 1:
         return np.zeros(1)
-    tau = 1.0 / min(z.imag for z in spec.roots)
     stride = max(1, math.ceil(0.5 * tau / (times[1] - times[0])))
     idx = np.append(np.arange(0, size - 1, stride), size - 1)
     return times[idx] - times[0]
@@ -821,8 +820,10 @@ def _spectral_design(spec, times):
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1d array")
-    if not np.isfinite(times).all():
-        raise ValueError(f"times must be finite, got {times[~np.isfinite(times)]}")
+    bad = times[~np.isfinite(times)]
+    if bad.size:
+        raise ValueError(f"times must be finite, got {bad.size} non-finite "
+                         f"values, the first {bad[0]}")
     if times.size > 1:
         steps = np.diff(times)
         if steps.min() <= 0 or (steps.max() - steps.min()) > 1e-9 * steps.max():
@@ -830,7 +831,7 @@ def _spectral_design(spec, times):
     s = SPECTRAL_MAP_SCALE * math.exp(np.log(np.abs(spec.roots)).mean())
     cov = residue_expansion(spec)
     variances = [(-1.0) ** j * eval_r(cov, 2 * j, 0.0) for j in range(spec.k + 1)]
-    lags = _checked_lags(spec, times)
+    lags = _checked_lags(cov.tau, times)
     r_lags = eval_r(cov, 0, lags)
     n_panels = SPECTRAL_PANELS
     while True:
@@ -1033,7 +1034,7 @@ def write_csv(chunks, path, dt) -> None:
 
     chunks are consecutive time-major (rows, k+1) stretches of the path
     from grid point 0, on a grid of spacing dt: the one chunk
-    [sample.values.T] of a SamplePath, or _stream_path's chunks. Every
+    [sample.values.T] of a SamplePath, or stream_path's chunks. Every
     value is written as %.17g, which reads back to the same float64, and
     the bytes are those of np.savetxt with that format and a ","
     delimiter. Each chunk's rows are formatted CSV_BLOCK at a time, each

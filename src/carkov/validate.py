@@ -25,13 +25,11 @@ from .covariance import (
     eval_r,
     gamma,
     moment_bounds,
-    moments,
-    residue_expansion,
     solve_gram,
     term_magnitude,
 )
 from .errors import CarkovError, NotConverged, PathTooShort
-from .markov import ItoSystem, StationaryLaw, _assemble_from_moments
+from .markov import ItoSystem, StationaryLaw, build
 from .model import RootSpec, ode_char_poly
 from .simulate import SamplePath, sample_exact
 
@@ -95,11 +93,6 @@ def _report(name: str, statistic: float, threshold: float, detail: str) -> Check
     )
 
 
-def _correlation_time(cov: CovarianceModel) -> float:
-    """Slowest decay time 1 / min Im(root) of the covariance terms."""
-    return 1.0 / min(root.imag for _coef, root, _p in cov.terms)
-
-
 # ---------------------------------------------------------------------------
 # closed-form checks
 
@@ -113,7 +106,7 @@ def check_markov_factorization(
     passing a moments object that does not belong to cov (or a tampered
     term list) makes the residual jump far above the threshold.
     """
-    grid = _correlation_time(cov) * np.array(FACTORIZATION_GRID)
+    grid = cov.tau * np.array(FACTORIZATION_GRID)
     r0 = eval_r(cov, 0, 0.0)
     worst = 0.0
     for u in grid:
@@ -145,7 +138,7 @@ def check_ode_annihilation(spec: RootSpec, cov: CovarianceModel) -> CheckReport:
     deg chi) + deg chi + 2 (the products b_j r^(j) and their sum) and db_j
     chi's own bound (_char_poly_error).
     """
-    t_grid = _correlation_time(cov) * np.array(ANNIHILATION_GRID)
+    t_grid = cov.tau * np.array(ANNIHILATION_GRID)
     r0 = eval_r(cov, 0, 0.0)
     coefs = np.asarray(ode_char_poly(spec).coefficients)
     deg = coefs.size - 1
@@ -388,8 +381,7 @@ def product_mean_laws(cov: CovarianceModel, dt: float, idxs,
     and the FFT stay at one slice and the results do not depend on the
     BLAS thread count.
     """
-    tau = _correlation_time(cov)
-    tail = math.ceil(ISSERLIS_CORR_TIMES * tau / dt)
+    tail = math.ceil(ISSERLIS_CORR_TIMES * cov.tau / dt)
     s_maxes = [min(m - 1, idx + tail) for idx, m in zip(idxs, ms)]
     reach = max(s_max + idx for s_max, idx in zip(s_maxes, idxs))
     r = np.empty(reach + 1)
@@ -466,7 +458,7 @@ def check_empirical_covariance(
     per slice (_lagged_dots), so Y is read about once and the check's
     temporaries do not grow with the path length.
     """
-    tau = _correlation_time(cov)
+    tau = cov.tau
     if lags is None:
         lags = tau * np.array([0.0, 0.5, 1.0, 2.0])
     lags = np.asarray(lags, dtype=float)
@@ -534,7 +526,7 @@ def check_innovations(path: SamplePath, cov: CovarianceModel) -> CheckReport:
     not positive definite (a perturbed r can be) FAILs; no qualifying gap
     otherwise is NotConverged. Sums are sliced (_sliced_dot), so no bit
     depends on the BLAS thread count."""
-    tau = _correlation_time(cov)
+    tau = cov.tau
     tried, definite = [], False
     for frac in INNOVATION_GAPS:
         stride = max(1, int(round(frac * tau / path.dt)))
@@ -598,10 +590,8 @@ def run_suite(spec: RootSpec, budget: str = "fast", seed: int = 0,
     if not math.isfinite(perturb_coef):
         raise ValueError(f"perturb_coef must be finite, got {perturb_coef}")
     prof = _PROFILES[budget]
-    cov = residue_expansion(spec)
-    mom = moments(cov)
-    system, law = _assemble_from_moments(spec, mom)
-    tau = _correlation_time(cov)
+    cov, system, law = build(spec)
+    mom, tau = system.moments, cov.tau
     if perturb_coef != 0.0:
         first = cov.terms[0]
         cov = CovarianceModel(

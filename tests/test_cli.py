@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from carkov import assemble, covariance, markov, model
+from carkov import assemble, model
 from carkov.cli import main
 from carkov.covariance import cov_to_config, moments, residue_expansion
 from carkov.errors import StepTooSmall
@@ -88,16 +88,27 @@ class TestAnalyze:
             (b / "covariance_curve.csv").read_bytes()
 
     def test_expands_residues_once(self, tmp_path, monkeypatch):
+        # every carkov namespace that holds residue_expansion counts, so a
+        # second expansion anywhere in a command is seen
         calls = []
 
         def counted(spec):
             calls.append(spec)
             return residue_expansion(spec)
 
-        for module in (covariance, markov):
-            monkeypatch.setattr(module, "residue_expansion", counted)
-        assert main(["analyze", "--model", K2, "--out", str(tmp_path)]) == 0
-        assert len(calls) == 1
+        import carkov.validate  # noqa: F401  (verify imports it on first use)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "carkov" \
+                    and hasattr(module, "residue_expansion"):
+                monkeypatch.setattr(module, "residue_expansion", counted)
+        commands = [["analyze"], ["verify", "--budget", "fast"]] + [
+            ["simulate", "--method", method]
+            for method in ("exact", "euler", "spectral")]
+        for i, command in enumerate(commands):
+            calls.clear()
+            argv = command + ["--model", K2, "--out", str(tmp_path / str(i))]
+            assert main(argv) == 0
+            assert len(calls) == 1, command
 
     @pytest.mark.parametrize("option, value", [
         ("--tmax", "nan"), ("--tmax", "inf"), ("--tmax", "0"),
@@ -468,6 +479,35 @@ class TestErrorHandling:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "CarkovError"
         assert named in err["message"] and (seed or env) in err["message"]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("config, field", [
+        ('{"roots": [[0, 1]], "scale": "2"}', "scale"),
+        ('{"roots": [[0, 1]], "scale": true}', "scale"),
+        ('{"roots": [[false, true]], "scale": 1}', "roots[0][0]"),
+        ('{"roots": [[0, 1]], "scale": 1' + "0" * 400 + "}", "too large"),
+    ], ids=["string-scale", "bool-scale", "bool-root", "huge-int-scale"])
+    def test_non_number_config_exit_2(self, tmp_path, capsys, config, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(config)
+        rc = main(["analyze", "--model", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CarkovError"
+        assert err["message"].startswith("malformed model config")
+        assert field in err["message"]
+
+    @pytest.mark.parametrize("dt, steps", [
+        ("1e306", "1000"), ("1", "1" + "0" * 400),
+    ], ids=["huge-dt", "steps-past-float"])
+    @pytest.mark.parametrize("method", ["exact", "euler", "spectral"])
+    def test_overflowing_grid_exit_2(self, tmp_path, capsys, method, dt, steps):
+        rc = main(["simulate", "--model", K2, "--method", method,
+                   "--dt", dt, "--steps", steps, "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CarkovError"
+        assert "--dt" in err["message"] and "--steps" in err["message"]
         assert not list(tmp_path.iterdir())
 
     def test_malformed_json_exit_2(self, tmp_path, capsys):

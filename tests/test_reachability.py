@@ -26,3 +26,20 @@ def test_every_top_level_definition_is_reached():
             if other is not node)
     ]
     assert unreached == []
+
+
+def test_cli_reaches_no_private_name():
+    # the command-line front end uses only the public names of the
+    # package's modules: no module._name, no "from .module import _name"
+    tree = ast.parse((SRC / "cli.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.level == 1 or node.module == "carkov")]
+    modules = {alias.asname or alias.name for node in imports
+               if node.module in (None, "carkov") for alias in node.names}
+    private = sorted(
+        {f"{n.value.id}.{n.attr}" for n in ast.walk(tree)
+         if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+         and n.value.id in modules and n.attr.startswith("_")}
+        | {f"{node.module}.{alias.name}" for node in imports
+           for alias in node.names if alias.name.startswith("_")})
+    assert private == []

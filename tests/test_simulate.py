@@ -585,6 +585,14 @@ class TestSpectral:
         with pytest.raises(ValueError, match="times must be finite"):
             spectral_replicates(spec_k2, times, 2, seed=0)
 
+    def test_non_finite_times_message_names_count_and_first(self, spec_k2):
+        times = np.full(1001, math.inf)
+        times[:2] = 0.0, math.nan
+        with pytest.raises(ValueError) as info:
+            sample_spectral(spec_k2, times, seed=0)
+        assert str(info.value) == ("times must be finite, got 1000 "
+                                   "non-finite values, the first nan")
+
     def test_shape_and_determinism(self, spec_k1_pair):
         times = np.arange(6) * 0.25
         a = sample_spectral(spec_k1_pair, times, seed=3)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from carkov import assemble, eval_r, moments, residue_expansion, sample_exact
-from carkov import model, simulate, validate
+from carkov import markov, model, simulate, validate
 from carkov.covariance import CovarianceModel
 from carkov.errors import CarkovError, NotConverged, PathTooShort
 from carkov.simulate import exact_step_operator
@@ -769,7 +769,7 @@ class TestRunSuite:
         def refused(spec):
             raise AssertionError("the suite started work")
 
-        monkeypatch.setattr(validate, "residue_expansion", refused)
+        monkeypatch.setattr(markov, "residue_expansion", refused)
         with pytest.raises(ValueError, match="perturb_coef"):
             run_suite(spec_k2, perturb_coef=coef)
 
@@ -780,6 +780,6 @@ class TestRunSuite:
             calls.append(spec)
             return residue_expansion(spec)
 
-        monkeypatch.setattr(validate, "residue_expansion", counted)
+        monkeypatch.setattr(markov, "residue_expansion", counted)
         run_suite(spec_k2, budget="fast", seed=0)
         assert len(calls) == 1
